@@ -14,6 +14,10 @@ disagree.
 Width feasibility is a resource policy, not mathematics: a width-n
 cable of a c-crossing diagram has c*n**2 crossings, so default widths
 are 3 for up to three crossings, 2 for up to six, 1 beyond.
+
+Every function here reads the cables, their brackets and the extreme
+state graphs through the diagram object's memo, so a battery that asks
+one diagram for the same data many times builds each piece once.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 from .bracket import bracket
 from .diagram import LinkDiagram, cable, mirror, writhe
-from .jones import cable_family, unreduced
+from .jones import unreduced
 from .laurent import LaurentPoly
 from .states import KauffmanState, RibbonGraph, ribbon_graph
 
@@ -34,10 +38,8 @@ __all__ = [
     "beta_prefix",
     "cable_top_coeffs",
     "degree_ceilings",
-    "degree_equality",
     "feasible_width",
     "h_ceiling",
-    "h_ceiling_mirror",
     "is_a_adequate",
     "is_b_adequate",
     "state_graph",
@@ -59,7 +61,8 @@ class InvariantViolation(RuntimeError):
 
 
 def state_graph(diagram: LinkDiagram, side: str = "A") -> RibbonGraph:
-    """Ribbon graph of the all-A or all-B state."""
+    """Ribbon graph of the all-A or all-B state, built once per
+    diagram object and side."""
     c = diagram.crossing_count
     if side == "A":
         state = KauffmanState.all_A(c)
@@ -67,7 +70,9 @@ def state_graph(diagram: LinkDiagram, side: str = "A") -> RibbonGraph:
         state = KauffmanState.all_B(c)
     else:
         raise ValueError(f"side must be 'A' or 'B', not {side!r}")
-    return ribbon_graph(diagram, state)
+    return diagram._memoize(
+        ("graph", side), lambda: ribbon_graph(diagram, state)
+    )
 
 
 def is_a_adequate(diagram: LinkDiagram) -> bool:
@@ -103,11 +108,6 @@ def h_ceiling(diagram: LinkDiagram, n: int) -> int:
     return 2 * c_neg * n * n + 2 * (v_a - writhe(diagram)) * n - 2
 
 
-def h_ceiling_mirror(diagram: LinkDiagram, n: int) -> int:
-    """Floor for the minimal exponent, by mirror symmetry."""
-    return -h_ceiling(mirror(diagram), n)
-
-
 def degree_ceilings(diagram: LinkDiagram) -> tuple[int, int]:
     """Bracket exponent window ``(max bound, min bound)``.
 
@@ -115,13 +115,15 @@ def degree_ceilings(diagram: LinkDiagram) -> tuple[int, int]:
     ``-(e + 2v - 2)`` over the all-B graph.  The empty diagram has
     bracket 1 by convention and both bounds collapse to zero.
     """
+    return _bound(diagram, "A"), -_bound(diagram, "B")
+
+
+def _bound(diagram: LinkDiagram, side: str) -> int:
+    """``e + 2v - 2`` over one extreme state graph; zero when empty."""
     if diagram.is_empty:
-        return 0, 0
-    g_a = state_graph(diagram, "A")
-    g_b = state_graph(diagram, "B")
-    hi = g_a.edge_count + 2 * g_a.vertex_count - 2
-    lo = -(g_b.edge_count + 2 * g_b.vertex_count - 2)
-    return hi, lo
+        return 0
+    g = state_graph(diagram, side)
+    return g.edge_count + 2 * g.vertex_count - 2
 
 
 def feasible_width(diagram: LinkDiagram) -> int:
@@ -134,45 +136,25 @@ def feasible_width(diagram: LinkDiagram) -> int:
     return 1
 
 
-def _cables(diagram, widths):
-    return {m: cable(diagram, m) for m in widths}
-
-
-def _brackets(cables, engine, limits):
-    return {
-        m: bracket(dm, engine=engine, **limits) for m, dm in cables.items()
-    }
-
-
 def cable_top_coeffs(
-    diagram: LinkDiagram,
-    n_max: int,
-    *,
-    engine: str = "fast",
-    cables: dict[int, LinkDiagram] | None = None,
-    family: dict[int, LaurentPoly] | None = None,
-    **limits,
+    diagram: LinkDiagram, n_max: int, *, engine: str = "fast", **limits
 ) -> tuple[dict[int, int], dict[int, int]]:
     """Coefficients of cable brackets at and just below the ceiling.
 
     For each width ``m`` up to ``n_max``, the first dict holds the
     coefficient at the exact max bound of the width-m cable, the second
-    the coefficient four below it.  The bound is recomputed from the
-    cabled diagram's own all-A graph each time, never from a closed
-    form in ``m``, so agreement with ceiling-degree predictions is a
-    genuine check.
+    the coefficient four below it.  The bound is read from the cabled
+    diagram's own all-A graph, never from a closed form in ``m``, so
+    agreement with ceiling-degree predictions is a genuine check.
     """
-    widths = range(1, n_max + 1)
-    if cables is None:
-        cables = _cables(diagram, widths)
-    if family is None:
-        family = _brackets(cables, engine, limits)
     tops: dict[int, int] = {}
     nexts: dict[int, int] = {}
-    for m in widths:
-        hi, _ = degree_ceilings(cables[m])
-        tops[m] = family[m].coeff(hi)
-        nexts[m] = family[m].coeff(hi - 4)
+    for m in range(1, n_max + 1):
+        cabled = cable(diagram, m)
+        value = bracket(cabled, engine=engine, **limits)
+        hi = _bound(cabled, "A")
+        tops[m] = value.coeff(hi)
+        nexts[m] = value.coeff(hi - 4)
     return tops, nexts
 
 
@@ -201,8 +183,6 @@ def vanishing_checks(
     n_max: int | None = None,
     *,
     engine: str = "fast",
-    cables: dict[int, LinkDiagram] | None = None,
-    family: dict[int, LaurentPoly] | None = None,
     **limits,
 ) -> VanishingChecks:
     """Run the top-coefficient vanishing battery up to ``n_max``."""
@@ -210,10 +190,7 @@ def vanishing_checks(
         n_max = feasible_width(diagram)
     if n_max < 2:
         raise ValueError("vanishing checks need width at least 2")
-    tops, nexts = cable_top_coeffs(
-        diagram, n_max, engine=engine, cables=cables, family=family,
-        **limits,
-    )
+    tops, nexts = cable_top_coeffs(diagram, n_max, engine=engine, **limits)
     top = {m: tops[m] for m in range(2, n_max + 1)}
     next_below = {m: nexts[m] for m in range(3, n_max + 1)}
     all_vanish = all(v == 0 for v in top.values())
@@ -243,33 +220,8 @@ def vanishing_checks(
     )
 
 
-def degree_equality(
-    diagram: LinkDiagram,
-    n: int,
-    *,
-    engine: str = "fast",
-    family: dict[int, LaurentPoly] | None = None,
-    **limits,
-) -> tuple[bool, bool]:
-    """(actual degree equals ceiling at width ``n``, A-adequacy).
-
-    The two booleans agree for every diagram this battery has seen;
-    callers assert that, this function just reports both sides.
-    """
-    if n < 2:
-        raise ValueError("degree equality is a width >= 2 criterion")
-    g = unreduced(diagram, n, engine=engine, family=family, **limits)
-    return g.max_degree() == h_ceiling(diagram, n), is_a_adequate(diagram)
-
-
 def t_invariant(
-    diagram: LinkDiagram,
-    n: int = 3,
-    *,
-    engine: str = "fast",
-    cables: dict[int, LinkDiagram] | None = None,
-    family: dict[int, LaurentPoly] | None = None,
-    **limits,
+    diagram: LinkDiagram, n: int = 3, *, engine: str = "fast", **limits
 ) -> tuple[int, int, LaurentPoly]:
     """Detector pair and its linear polynomial, from width ``n > 2``.
 
@@ -281,21 +233,14 @@ def t_invariant(
     """
     if n <= 2:
         raise ValueError("the detector pair needs width greater than 2")
-    tops, nexts = cable_top_coeffs(
-        diagram, n, engine=engine, cables=cables, family=family, **limits
-    )
+    tops, nexts = cable_top_coeffs(diagram, n, engine=engine, **limits)
     alpha = abs(tops[1] * tops[n])
     beta = abs(tops[1] * nexts[n])
     return alpha, beta, LaurentPoly({0: alpha, 1: beta})
 
 
 def beta_prefix(
-    diagram: LinkDiagram,
-    k: int,
-    *,
-    engine: str = "fast",
-    family: dict[int, LaurentPoly] | None = None,
-    **limits,
+    diagram: LinkDiagram, k: int, *, engine: str = "fast", **limits
 ) -> tuple[int, ...]:
     """First ``k`` stable-tail coefficients.
 
@@ -307,8 +252,7 @@ def beta_prefix(
     out = []
     for i in range(1, k + 1):
         width = i + 1
-        g = unreduced(diagram, width, engine=engine, family=family,
-                      **limits)
+        g = unreduced(diagram, width, engine=engine, **limits)
         out.append(g.coeff(h_ceiling(diagram, width) - 4 * (i - 1)))
     return tuple(out)
 
@@ -426,14 +370,13 @@ def analyze(
         state_graph(diagram, "A").vertex_count - writhe(diagram),
     )
 
-    # stability of the detector pair needs two widths above 2
-    widths = list(range(1, n_max + 1))
-    if n_max >= 3 and cable(diagram, n_max + 1).crossing_count <= 64:
-        widths.append(n_max + 1)
-    cables = _cables(diagram, widths)
-    family = _brackets(cables, engine, limits)
+    # stability of the detector pair needs two widths above 2; the
+    # width-(n+1) cable has c*(n+1)**2 crossings
+    top_width = n_max
+    if n_max >= 3 and diagram.crossing_count * (n_max + 1) ** 2 <= 64:
+        top_width = n_max + 1
 
-    window = family[1]
+    window = bracket(cable(diagram, 1), engine=engine, **limits)
     if not (lo <= window.min_degree() and window.max_degree() <= hi):
         raise InvariantViolation(
             "bracket-degree-window",
@@ -442,14 +385,14 @@ def analyze(
         )
 
     tops, nexts = cable_top_coeffs(
-        diagram, max(widths), cables=cables, family=family
+        diagram, top_width, engine=engine, **limits
     )
 
     ceilings: dict[int, int] = {}
     actual: dict[int, int | None] = {}
     for n in range(1, n_max + 1):
         ceilings[n] = h_ceiling(diagram, n)
-        g = unreduced(diagram, n, family=family)
+        g = unreduced(diagram, n, engine=engine, **limits)
         actual[n] = None if not len(g) else g.max_degree()
         if actual[n] is not None and actual[n] > ceilings[n]:
             raise InvariantViolation(
@@ -468,9 +411,7 @@ def analyze(
                 f"loop test {a_ok}, degree equalities {equalities}, "
                 f"surviving top coefficients {some_top} must agree",
             )
-        vc = vanishing_checks(
-            diagram, n_max, cables=cables, family=family
-        )
+        vc = vanishing_checks(diagram, n_max, engine=engine, **limits)
         if vc.deep_vanishing is not None:
             notes.append(
                 "own top coefficient survives despite loops; "
@@ -478,18 +419,15 @@ def analyze(
             )
 
     alpha_beta: dict[int, tuple[int, int]] = {}
-    for m in sorted(cables):
-        if m >= 2:
-            alpha_beta[m] = (
-                abs(tops[1] * tops[m]), abs(tops[1] * nexts[m])
-            )
+    for m in range(2, top_width + 1):
+        alpha_beta[m] = (abs(tops[1] * tops[m]), abs(tops[1] * nexts[m]))
 
     t_width = None
     t_poly = None
     if n_max > 2:
         t_width = 3
         alpha, beta, t_poly = t_invariant(
-            diagram, 3, cables=cables, family=family
+            diagram, 3, engine=engine, **limits
         )
         notes.append(
             "detector computed from this diagram; "
@@ -529,7 +467,7 @@ def analyze(
             f"coefficients by the width budget"
         )
     beta_series = beta_prefix(
-        diagram, series_max, family=family
+        diagram, series_max, engine=engine, **limits
     )
 
     return AdequacyReport(

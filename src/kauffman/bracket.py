@@ -35,7 +35,6 @@ __all__ = [
     "bracket_fast",
     "bracket_statesum",
     "bracket_subgraph",
-    "extreme_coeffs",
 ]
 
 # Value of a closed circle: -A^2 - A^-2.
@@ -92,15 +91,7 @@ def bracket_statesum(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
         )
     # Flat port ids 4*ci + si.  Within a crossing the A join pairs port
     # p with p ^ 1 and the B join pairs p with p ^ 3.
-    arc_partner = [0] * (4 * c)
-    occurrences: dict[int, list[int]] = {}
-    for ci, x in enumerate(diagram.crossings):
-        for si, label in enumerate(x.slots):
-            occurrences.setdefault(label, []).append(4 * ci + si)
-    for pair in occurrences.values():
-        arc_partner[pair[0]] = pair[1]
-        arc_partner[pair[1]] = pair[0]
-
+    arc_partner = diagram.partner
     histogram: Counter = Counter()
     seen = [0] * (4 * c)
     stamp = 0
@@ -144,14 +135,8 @@ def _sweep_order(diagram: LinkDiagram) -> list[int]:
     take the crossing with the most arcs into the processed region."""
     c = diagram.crossing_count
     neighbors: list[Counter] = [Counter() for _ in range(c)]
-    occurrences: dict[int, list[int]] = {}
-    for ci, x in enumerate(diagram.crossings):
-        for label in x.slots:
-            occurrences.setdefault(label, []).append(ci)
-    for pair in occurrences.values():
-        a, b = pair
-        neighbors[a][b] += 1
-        neighbors[b][a] += 1
+    for p, q in enumerate(diagram.partner):
+        neighbors[p >> 2][q >> 2] += 1
     order: list[int] = []
     done = [False] * c
     attached = [0] * c
@@ -186,21 +171,12 @@ def bracket_fast(
     c = diagram.crossing_count
     if c == 0:
         return _crossingless_value(diagram)
-    arc_partner: dict[int, int] = {}
-    occurrences: dict[int, list[int]] = {}
-    for ci, x in enumerate(diagram.crossings):
-        for si, label in enumerate(x.slots):
-            occurrences.setdefault(label, []).append(4 * ci + si)
-    for pair in occurrences.values():
-        arc_partner[pair[0]] = pair[1]
-        arc_partner[pair[1]] = pair[0]
-
     order = _sweep_order(diagram)
 
     def canonical(link: dict[int, int]) -> tuple:
         return tuple(sorted((p, q) for p, q in link.items() if p < q))
 
-    start = dict(arc_partner)
+    start = dict(enumerate(diagram.partner))
     states: dict[tuple, dict[int, int]] = {canonical(start): {0: 1}}
     links: dict[tuple, dict[int, int]] = {canonical(start): start}
 
@@ -273,18 +249,18 @@ BRACKET_ENGINES = {
 def bracket(
     diagram: LinkDiagram, *, engine: str = "fast", **limits
 ) -> LaurentPoly:
-    """Dispatch to a bracket engine by name."""
+    """Dispatch to a bracket engine by name.
+
+    The value is computed once per diagram object, engine and limits,
+    so the cable brackets of a diagram (its memoized cables' brackets)
+    are shared by every computation that reads them.  A call that
+    raises :class:`CapExceeded` stores nothing.
+    """
     try:
         fn = BRACKET_ENGINES[engine]
     except KeyError:
         raise ValueError(
             f"unknown engine {engine!r}; choose from {sorted(BRACKET_ENGINES)}"
         ) from None
-    return fn(diagram, **limits)
-
-
-def extreme_coeffs(poly: LaurentPoly) -> tuple[int, int, int, int]:
-    """(max degree, leading coeff, min degree, trailing coeff)."""
-    hi = poly.max_degree()
-    lo = poly.min_degree()
-    return hi, poly.coeff(hi), lo, poly.coeff(lo)
+    key = ("bracket", engine, tuple(sorted(limits.items())))
+    return diagram._memoize(key, lambda: fn(diagram, **limits))

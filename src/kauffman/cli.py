@@ -351,26 +351,37 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--engine",
-        choices=sorted(BRACKET_ENGINES),
-        default="fast",
-        help="bracket engine (default: fast)",
-    )
-    sub.add_argument(
-        "--cap",
-        type=int,
-        default=None,
-        help="resource cap: crossing budget for the state-sum and "
-        "subgraph engines, state budget for the fast engine",
-    )
-    sub.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallel workers (verify only)",
-    )
+def _add_common(
+    sub: argparse.ArgumentParser,
+    *,
+    engine: bool = True,
+    cap: bool = True,
+    workers: bool = False,
+) -> None:
+    """Register ``--json`` and whichever of the shared options the
+    subcommand reads."""
+    if engine:
+        sub.add_argument(
+            "--engine",
+            choices=sorted(BRACKET_ENGINES),
+            default="fast",
+            help="bracket engine (default: fast)",
+        )
+    if cap:
+        sub.add_argument(
+            "--cap",
+            type=int,
+            default=None,
+            help="resource cap: crossing budget for the state-sum and "
+            "subgraph engines, state budget for the fast engine",
+        )
+    if workers:
+        sub.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="parallel workers",
+        )
     sub.add_argument(
         "--json",
         action="store_true",
@@ -430,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cable", help="PD code of a parallel cable")
     p.add_argument("pd", help="PD code, path to one, or - for stdin")
     p.add_argument("--n", type=int, required=True, help="cable width")
-    _add_common(p)
+    _add_common(p, engine=False, cap=False)
     p.set_defaults(fn=_cmd_cable)
 
     p = subs.add_parser(
@@ -445,7 +456,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--nmax", type=int, default=None, help="cable width limit"
     )
-    _add_common(p)
+    _add_common(p, engine=False, workers=True)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

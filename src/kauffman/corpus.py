@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .diagram import LinkDiagram, parse_pd
 
-__all__ = ["CorpusEntry", "bundled", "by_name", "load_corpus_file"]
+__all__ = ["CorpusEntry", "bundled", "load_corpus_file"]
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,6 @@ BUNDLED: tuple[CorpusEntry, ...] = (
 
 def bundled() -> tuple[CorpusEntry, ...]:
     return BUNDLED
-
-
-def by_name(name: str) -> CorpusEntry:
-    for entry in BUNDLED:
-        if entry.name == name:
-            return entry
-    raise KeyError(f"no bundled corpus entry named {name!r}")
 
 
 def load_corpus_file(path: str) -> list[CorpusEntry]:

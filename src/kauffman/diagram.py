@@ -19,7 +19,10 @@ virtual (positive genus) input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 __all__ = [
     "Crossing",
@@ -70,12 +73,33 @@ class LinkDiagram:
     ``free_loops`` counts closed components with no crossings at all;
     such loops only occur in crossingless diagrams (cables of the
     zero-crossing unknot).
+
+    ``partner`` is the port table: port ``4*ci + si`` is slot ``si`` of
+    crossing ``ci``, and ``partner[p]`` is the port at the other end of
+    the arc leaving ``p``.  It is derived data, built once by
+    validation, and left out of equality, hashing and ``repr``, as is
+    the private memo that :meth:`_memoize` fills.
     """
 
     crossings: tuple[Crossing, ...]
     arc_count: int
     components: tuple[tuple[int, ...], ...]
     free_loops: int = 0
+    partner: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    _memo: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    def _memoize(self, key: tuple, build: Callable[[], T]) -> T:
+        """``build()``, computed once per diagram object under ``key``.
+
+        Holds the cables by width, their brackets by engine and limits,
+        and the extreme state graphs by side.  The memo lives and dies
+        with this object: two parses of one code share nothing.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @classmethod
     def empty(cls) -> "LinkDiagram":
@@ -161,10 +185,10 @@ def from_slot_tuples(
 
     n_cross = len(tuples)
     arc_count = 2 * n_cross
-    occurrences = _arc_occurrences(tuples, arc_count)
-    _check_connected(tuples, occurrences)
-    _check_planar(tuples, occurrences)
-    components, entry_slots = _trace_components(tuples, occurrences)
+    partner = _port_table(tuples, arc_count)
+    _check_connected(partner)
+    _check_planar(partner)
+    components, entry_slots = _trace_components(tuples, partner)
     signs = _signs_from_entries(tuples, entry_slots)
     crossings = tuple(
         Crossing(slots=tuple(t), sign=s) for t, s in zip(tuples, signs)
@@ -174,16 +198,27 @@ def from_slot_tuples(
         arc_count=arc_count,
         components=components,
         free_loops=0,
+        partner=tuple(partner),
     )
 
 
-def _arc_occurrences(
-    tuples: list[tuple[int, int, int, int]], arc_count: int
-) -> dict[int, list[tuple[int, int]]]:
-    occurrences: dict[int, list[tuple[int, int]]] = {}
+def _occurrences(
+    tuples: list[tuple[int, int, int, int]]
+) -> dict[int, list[int]]:
+    """Label -> the flat ports ``4*ci + si`` carrying it, in port order."""
+    occurrences: dict[int, list[int]] = {}
     for ci, slots in enumerate(tuples):
         for si, label in enumerate(slots):
-            occurrences.setdefault(label, []).append((ci, si))
+            occurrences.setdefault(label, []).append(4 * ci + si)
+    return occurrences
+
+
+def _port_table(
+    tuples: list[tuple[int, int, int, int]], arc_count: int
+) -> list[int]:
+    """The flat partner table of :class:`LinkDiagram`, after checking
+    that the labels are exactly ``1..arc_count``, each used twice."""
+    occurrences = _occurrences(tuples)
     expected = set(range(1, arc_count + 1))
     if set(occurrences) != expected:
         missing = sorted(expected - set(occurrences))
@@ -197,14 +232,15 @@ def _arc_occurrences(
         raise InvalidDiagramError(
             f"each arc label must appear exactly twice; offending labels {bad}"
         )
-    return occurrences
+    partner = [0] * (4 * len(tuples))
+    for p, q in occurrences.values():
+        partner[p] = q
+        partner[q] = p
+    return partner
 
 
-def _check_connected(
-    tuples: list[tuple[int, int, int, int]],
-    occurrences: dict[int, list[tuple[int, int]]],
-) -> None:
-    n = len(tuples)
+def _check_connected(partner: list[int]) -> None:
+    n = len(partner) // 4
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -213,8 +249,8 @@ def _check_connected(
             i = parent[i]
         return i
 
-    for occ in occurrences.values():
-        a, b = find(occ[0][0]), find(occ[1][0])
+    for p, q in enumerate(partner):
+        a, b = find(p >> 2), find(q >> 2)
         if a != b:
             parent[a] = b
     roots = {find(i) for i in range(n)}
@@ -225,14 +261,13 @@ def _check_connected(
         )
 
 
-def _passage_exit(slot: int) -> int:
-    """Exit slot of the passage entered at ``slot`` (0<->2, 1<->3)."""
-    return (slot + 2) % 4
+def _passage_exit(port: int) -> int:
+    """Exit port of the passage entered at ``port``: slots 0<->2, 1<->3."""
+    return port ^ 2
 
 
 def _trace_components(
-    tuples: list[tuple[int, int, int, int]],
-    occurrences: dict[int, list[tuple[int, int]]],
+    tuples: list[tuple[int, int, int, int]], partner: list[int]
 ) -> tuple[tuple[tuple[int, ...], ...], dict[int, dict[str, int]]]:
     """Trace link components and recover passage directions.
 
@@ -240,27 +275,28 @@ def _trace_components(
     each component's smallest label) and, per crossing, the entry slots
     of the under and over passages in the recovered orientation.
     """
+    # each label's first port: the trace of a component starts there
+    first_port: dict[int, int] = {}
+    for p in reversed(range(len(partner))):
+        first_port[tuples[p >> 2][p & 3]] = p
     seen: set[int] = set()
     components: list[tuple[int, ...]] = []
-    consumed_port: dict[int, tuple[int, int]] = {}
+    consumed_port: dict[int, int] = {}
 
-    for start in sorted(occurrences):
+    for start in sorted(first_port):
         if start in seen:
             continue
         arcs: list[int] = []
-        ports: list[tuple[int, int]] = []
+        ports: list[int] = []
         arc = start
-        port = occurrences[start][0]
+        port = first_port[start]
         while True:
             arcs.append(arc)
             ports.append(port)
-            ci, si = port
-            exit_port = (ci, _passage_exit(si))
-            nxt = tuples[ci][_passage_exit(si)]
-            occ = occurrences[nxt]
-            port = occ[1] if occ[0] == exit_port else occ[0]
-            arc = nxt
-            if arc == start and port == occurrences[start][0]:
+            exit_port = _passage_exit(port)
+            arc = tuples[exit_port >> 2][exit_port & 3]
+            port = partner[exit_port]
+            if arc == start and port == first_port[start]:
                 break
         labels = sorted(arcs)
         lo, hi = labels[0], labels[-1]
@@ -273,7 +309,7 @@ def _trace_components(
             return lo if a == hi else a + 1
 
         size = len(arcs)
-        candidates: list[tuple[list[int], list[tuple[int, int]]]] = []
+        candidates: list[tuple[list[int], list[int]]] = []
         if all(arcs[(i + 1) % size] == succ(arcs[i]) for i in range(size)):
             candidates.append((arcs, ports))
         if all(arcs[i] == succ(arcs[(i + 1) % size]) for i in range(size)):
@@ -281,8 +317,7 @@ def _trace_components(
             # trace emitted it, at the opposite slot of the passage.
             candidates.append((
                 [arcs[(i + 1) % size] for i in range(size)][::-1],
-                [(ports[i][0], _passage_exit(ports[i][1]))
-                 for i in range(size)][::-1],
+                [_passage_exit(ports[i]) for i in range(size)][::-1],
             ))
         if not candidates:
             raise InvalidDiagramError(
@@ -294,7 +329,7 @@ def _trace_components(
         valid = [
             (al, pl)
             for al, pl in candidates
-            if all(si == 0 for _, si in pl if si in (0, 2))
+            if all(p & 3 == 0 for p in pl if p & 1 == 0)
         ]
         if not valid:
             raise InvalidDiagramError(
@@ -316,7 +351,8 @@ def _trace_components(
             consumed_port[a] = p
 
     entry_slots: dict[int, dict[str, int]] = {}
-    for arc, (ci, si) in consumed_port.items():
+    for arc, port in consumed_port.items():
+        ci, si = port >> 2, port & 3
         kind = "under" if si in (0, 2) else "over"
         record = entry_slots.setdefault(ci, {})
         if kind in record:
@@ -343,13 +379,10 @@ def _signs_from_entries(
     return signs
 
 
-def _check_planar(
-    tuples: list[tuple[int, int, int, int]],
-    occurrences: dict[int, list[tuple[int, int]]],
-) -> None:
+def _check_planar(partner: list[int]) -> None:
     """Euler check: a connected planar code has exactly c + 2 faces."""
-    n = len(tuples)
-    faces = _map_face_count(tuples, occurrences)
+    n = len(partner) // 4
+    faces = _map_face_count(partner)
     if faces != n + 2:
         genus = (n + 2 - faces) // 2
         raise InvalidDiagramError(
@@ -358,26 +391,20 @@ def _check_planar(
         )
 
 
-def _map_face_count(
-    tuples: list[tuple[int, int, int, int]],
-    occurrences: dict[int, list[tuple[int, int]]],
-) -> int:
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
-    for occ in occurrences.values():
-        partner[occ[0]] = occ[1]
-        partner[occ[1]] = occ[0]
-    unvisited = {(ci, si) for ci in range(len(tuples)) for si in range(4)}
+def _map_face_count(partner: list[int]) -> int:
+    """Faces of the code read as a map: leave a port along its arc, then
+    turn to the next slot counterclockwise at the crossing reached."""
+    visited = [False] * len(partner)
     faces = 0
-    while unvisited:
-        dart = next(iter(unvisited))
+    for dart in range(len(partner)):
+        if visited[dart]:
+            continue
         faces += 1
         cursor = dart
-        while True:
-            unvisited.discard(cursor)
-            ci, si = partner[cursor]
-            cursor = (ci, (si + 1) % 4)
-            if cursor == dart:
-                break
+        while not visited[cursor]:
+            visited[cursor] = True
+            q = partner[cursor]
+            cursor = (q & ~3) | ((q + 1) & 3)
     return faces
 
 
@@ -415,9 +442,14 @@ def cable(diagram: LinkDiagram, n: int) -> LinkDiagram:
     Each crossing becomes an n-by-n grid of crossings of the same sign;
     parallel copies of an arc never interleave.  Arc labels of the result
     are renumbered canonically, so ``cable(d, 1) == d`` for valid input.
+    The cable is built once per diagram object and width.
     """
     if n < 1:
         raise InvalidDiagramError("cable width must be at least 1")
+    return diagram._memoize(("cable", n), lambda: _build_cable(diagram, n))
+
+
+def _build_cable(diagram: LinkDiagram, n: int) -> LinkDiagram:
     if not diagram.crossings:
         return LinkDiagram.crossingless(diagram.free_loops * n)
 
@@ -494,16 +526,10 @@ def _canonical_relabel(
     Entry slots are known from construction, so components can be traced
     without relying on label order.
     """
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for ci, slots in enumerate(raw):
-        for si, label in enumerate(slots):
-            occurrences.setdefault(label, []).append((ci, si))
-    consumed_of: dict[int, tuple[int, int]] = {}
-    for label, occ in occurrences.items():
+    consumed_of: dict[int, int] = {}
+    for label, occ in _occurrences(raw).items():
         entries = [
-            (ci, si)
-            for ci, si in occ
-            if si == 0 or si == over_entry_slot[ci]
+            p for p in occ if p & 3 in (0, over_entry_slot[p >> 2])
         ]
         if len(entries) != 1:
             raise AssertionError(f"arc {label} has {len(entries)} entry ports")
@@ -512,7 +538,7 @@ def _canonical_relabel(
     seen: set[int] = set()
     new_label: dict[int, int] = {}
     offset = 0
-    for start in sorted(occurrences):
+    for start in sorted(consumed_of):
         if start in seen:
             continue
         arc = start
@@ -520,8 +546,8 @@ def _canonical_relabel(
         while True:
             cycle.append(arc)
             seen.add(arc)
-            ci, si = consumed_of[arc]
-            arc = raw[ci][_passage_exit(si)]
+            exit_port = _passage_exit(consumed_of[arc])
+            arc = raw[exit_port >> 2][exit_port & 3]
             if arc == start:
                 break
         for step, label in enumerate(cycle):

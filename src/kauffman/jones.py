@@ -14,6 +14,12 @@ Two bracket conventions appear, and they are not interchangeable:
   adding a kink, which makes the quotient by the unknot reference value
   a genuine invariant; that quotient is :func:`reduced`.
 
+The cables and their brackets are the expensive part of every value
+here.  Both are memoized on the diagram object (see
+:func:`kauffman.diagram.cable` and :func:`kauffman.bracket.bracket`), so
+asking one diagram for several widths or forms builds each cable and
+its bracket once.
+
 The writhe correction multiplies by ``(-1)**(n*w + n - 1)`` and by
 ``A**(-w*(n*n + 2*n))``, where ``w`` is the writhe.  No further fudge
 factors: with these signs the width-1 reduced value of the left-handed
@@ -31,10 +37,7 @@ from .laurent import LaurentPoly, NotDivisibleByFourError
 __all__ = [
     "ChebyshevExpansion",
     "ReducedJones",
-    "cable_family",
-    "cabled_bracket",
     "chebyshev",
-    "chebyshev_value",
     "reduced",
     "unknot_reference",
     "unreduced",
@@ -60,12 +63,6 @@ class ChebyshevExpansion:
                 return c
         return 0
 
-    def evaluate(self, x: LaurentPoly) -> LaurentPoly:
-        acc = LaurentPoly.zero()
-        for m, c in self.coeffs:
-            acc = acc + LaurentPoly.const(c) * x**m
-        return acc
-
 
 def chebyshev(n: int) -> ChebyshevExpansion:
     """Expansion of ``S_n``; powers run through ``n, n-2, n-4, ...``."""
@@ -85,43 +82,25 @@ def chebyshev(n: int) -> ChebyshevExpansion:
     return ChebyshevExpansion(n=n, coeffs=tuple(sorted(cur.items())))
 
 
-def chebyshev_value(n: int, x: LaurentPoly) -> LaurentPoly:
-    return chebyshev(n).evaluate(x)
-
-
-def cable_family(
-    diagram: LinkDiagram,
-    n: int,
-    *,
-    engine: str = "fast",
-    **limits,
-) -> dict[int, LaurentPoly]:
-    """Engine brackets of the width-1 through width-``n`` cables.
-
-    The cables are the expensive part of every computation here, so the
-    family is exposed for reuse: all entry points accept a prebuilt one
-    via their ``family`` argument.
-    """
-    return {
-        m: bracket(cable(diagram, m), engine=engine, **limits)
-        for m in range(1, n + 1)
-    }
-
-
 def _counted_sum(
-    diagram: LinkDiagram,
-    n: int,
-    family: dict[int, LaurentPoly] | None,
-    engine: str,
-    limits: dict,
+    diagram: LinkDiagram, n: int, engine: str, limits: dict
 ) -> LaurentPoly:
+    """Chebyshev combination of cable brackets, counted convention.
+
+    ``S_n`` with each power ``x**m`` (``m >= 1``) replaced by the
+    bracket of the width-``m`` cable and the constant term kept.  No
+    writhe correction is applied; this is the raw state sum whose top
+    degree the adequacy bounds speak about.
+    """
+    if n < 0:
+        raise ValueError("cable width must be nonnegative")
     expansion = chebyshev(n)
-    if family is None:
-        family = cable_family(diagram, n, engine=engine, **limits)
     acc = LaurentPoly.const(expansion.coeff(0))
-    for m, c in expansion.coeffs:
-        if m >= 1:
-            acc = acc + LaurentPoly.const(c) * family[m]
+    for m in range(1, n + 1):
+        value = bracket(cable(diagram, m), engine=engine, **limits)
+        c = expansion.coeff(m)
+        if c:
+            acc = acc + LaurentPoly.const(c) * value
     return acc
 
 
@@ -131,32 +110,8 @@ def _correction(diagram: LinkDiagram, n: int) -> tuple[int, int]:
     return sign, -w * (n * n + 2 * n)
 
 
-def cabled_bracket(
-    diagram: LinkDiagram,
-    n: int,
-    *,
-    engine: str = "fast",
-    family: dict[int, LaurentPoly] | None = None,
-    **limits,
-) -> LaurentPoly:
-    """Chebyshev combination of cable brackets, counted convention.
-
-    No writhe correction is applied; this is the raw state sum whose
-    top degree the adequacy bounds speak about, shifted by the writhe
-    term later.
-    """
-    if n < 0:
-        raise ValueError("cable width must be nonnegative")
-    return _counted_sum(diagram, n, family, engine, limits)
-
-
 def unreduced(
-    diagram: LinkDiagram,
-    n: int,
-    *,
-    engine: str = "fast",
-    family: dict[int, LaurentPoly] | None = None,
-    **limits,
+    diagram: LinkDiagram, n: int, *, engine: str = "fast", **limits
 ) -> LaurentPoly:
     """Writhe-corrected counted-convention evaluation.
 
@@ -165,9 +120,7 @@ def unreduced(
     state graph is loop-free.  Not invariant under kinks; use
     :func:`reduced` for an invariant.
     """
-    raw = cabled_bracket(
-        diagram, n, engine=engine, family=family, **limits
-    )
+    raw = _counted_sum(diagram, n, engine, limits)
     sign, shift = _correction(diagram, n)
     return LaurentPoly.const(sign) * raw.shift(shift)
 
@@ -210,12 +163,7 @@ class ReducedJones:
 
 
 def reduced(
-    diagram: LinkDiagram,
-    n: int,
-    *,
-    engine: str = "fast",
-    family: dict[int, LaurentPoly] | None = None,
-    **limits,
+    diagram: LinkDiagram, n: int, *, engine: str = "fast", **limits
 ) -> ReducedJones:
     """Quotient of the scaled-convention value by the unknot reference.
 
@@ -227,9 +175,7 @@ def reduced(
         raise ValueError(
             "the empty diagram has no component to reduce along"
         )
-    counted = cabled_bracket(
-        diagram, n, engine=engine, family=family, **limits
-    )
+    counted = _counted_sum(diagram, n, engine, limits)
     c0 = LaurentPoly.const(chebyshev(n).coeff(0))
     # scaled-convention total: delta * (counted - c0) + c0
     scaled = DELTA * (counted - c0) + c0

@@ -208,18 +208,6 @@ class LaurentPoly:
                 raise InexactDivisionError("division does not terminate")
         return _wrap(quotient)
 
-    def evaluate_poly(self, value: "LaurentPoly") -> "LaurentPoly":
-        """Substitute another polynomial for the variable.
-
-        Only valid when this polynomial has no negative exponents.
-        """
-        if self._terms and self.min_degree() < 0:
-            raise ValueError("substitution requires a plain polynomial")
-        result = LaurentPoly()
-        for exponent, coefficient in self._terms.items():
-            result = result + (value**exponent) * coefficient
-        return result
-
     # -- variable change -------------------------------------------------
 
     def to_q(self) -> "LaurentPoly":

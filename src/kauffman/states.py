@@ -25,12 +25,7 @@ __all__ = [
     "B_JOINS",
     "KauffmanState",
     "RibbonGraph",
-    "SpanningSubgraph",
     "StateResolution",
-    "circle_count",
-    "has_one_edge_loop",
-    "loop_subgraph",
-    "nesting_parity",
     "resolve",
     "ribbon_graph",
 ]
@@ -50,13 +45,6 @@ class KauffmanState:
     def __post_init__(self) -> None:
         if any(ch not in ("A", "B") for ch in self.choices):
             raise ValueError(f"state choices must be 'A' or 'B': {self.choices}")
-
-    @classmethod
-    def from_b_mask(cls, mask: int, crossing_count: int) -> "KauffmanState":
-        """Bit i set means crossing i is resolved the B way."""
-        return cls(tuple(
-            "B" if mask >> i & 1 else "A" for i in range(crossing_count)
-        ))
 
     @classmethod
     def all_A(cls, crossing_count: int) -> "KauffmanState":
@@ -79,20 +67,6 @@ class KauffmanState:
         return mask
 
 
-def _arc_partner_ports(
-    diagram: LinkDiagram,
-) -> dict[tuple[int, int], tuple[int, int]]:
-    occurrences: dict[int, list[tuple[int, int]]] = {}
-    for ci, x in enumerate(diagram.crossings):
-        for si, label in enumerate(x.slots):
-            occurrences.setdefault(label, []).append((ci, si))
-    partner: dict[tuple[int, int], tuple[int, int]] = {}
-    for occ in occurrences.values():
-        partner[occ[0]] = occ[1]
-        partner[occ[1]] = occ[0]
-    return partner
-
-
 def _join_of_slot(choice: str, si: int) -> tuple[int, int]:
     """Map a slot to (join index, position within the join's port pair)."""
     joins = A_JOINS if choice == "A" else B_JOINS
@@ -102,52 +76,21 @@ def _join_of_slot(choice: str, si: int) -> tuple[int, int]:
     raise AssertionError
 
 
-def circle_count(diagram: LinkDiagram, state: KauffmanState) -> int:
-    """Number of circles after resolving every crossing."""
-    n = diagram.crossing_count
-    if len(state.choices) != n:
-        raise ValueError("state length does not match crossing count")
-    if n == 0:
-        return diagram.free_loops
-    arc_partner = _arc_partner_ports(diagram)
-    join_partner: dict[tuple[int, int], tuple[int, int]] = {}
-    for ci in range(n):
-        joins = A_JOINS if state.choices[ci] == "A" else B_JOINS
-        for p, q in joins:
-            join_partner[(ci, p)] = (ci, q)
-            join_partner[(ci, q)] = (ci, p)
-    seen: set[tuple[int, int]] = set()
-    circles = 0
-    for start in join_partner:
-        if start in seen:
-            continue
-        circles += 1
-        port = start
-        while True:
-            seen.add(port)
-            hop = join_partner[port]
-            seen.add(hop)
-            port = arc_partner[hop]
-            if port == start:
-                break
-    return circles
-
-
 @dataclass(frozen=True)
 class StateResolution:
     """The circles of a resolved diagram plus their planar nesting data.
 
-    ``circles`` lists each circle as the ports it passes through, in
-    trace order normalized so that consecutive ports 2i, 2i+1 are joined
-    at a crossing.  ``circle_of_join`` maps flat join index 2*ci + j to
-    the circle through that join.  ``depths`` counts the circles
-    strictly enclosing each circle.  ``chord_orders`` gives, per circle,
-    the flat join indices in the circle's effective rotation order
-    (counterclockwise for even depth, clockwise for odd).
+    ``circles`` lists each circle as the ports ``4*ci + si`` it passes
+    through, in trace order normalized so that consecutive ports 2i,
+    2i+1 are joined at a crossing.  ``circle_of_join`` maps flat join
+    index 2*ci + j to the circle through that join.  ``depths`` counts
+    the circles strictly enclosing each circle.  ``chord_orders`` gives,
+    per circle, the flat join indices in the circle's effective rotation
+    order (counterclockwise for even depth, clockwise for odd).
     """
 
     state: KauffmanState
-    circles: tuple[tuple[tuple[int, int], ...], ...]
+    circles: tuple[tuple[int, ...], ...]
     circle_of_join: tuple[int, ...]
     depths: tuple[int, ...]
     chord_orders: tuple[tuple[int, ...], ...]
@@ -172,26 +115,25 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
             chord_orders=((),) * loops,
         )
 
-    arc_partner = _arc_partner_ports(diagram)
+    partner = diagram.partner
+    choices = state.choices
 
     # Dart encoding for the resolved diagram seen as a planar map: every
     # join is a trivalent vertex carrying its two ports and one chord
     # end, darts 6*ci + 3*j + k with k = 0, 1 the ports in join order
     # and k = 2 the chord end.
-    dart_of_port: dict[tuple[int, int], int] = {}
-    port_of_dart: dict[int, tuple[int, int]] = {}
-    for ci in range(n):
-        for si in range(4):
-            j, k = _join_of_slot(state.choices[ci], si)
-            d = 6 * ci + 3 * j + k
-            dart_of_port[(ci, si)] = d
-            port_of_dart[d] = (ci, si)
+    dart_of_port = [0] * (4 * n)
+    port_of_dart = [-1] * (6 * n)
+    for p in range(4 * n):
+        j, k = _join_of_slot(choices[p >> 2], p & 3)
+        d = 6 * (p >> 2) + 3 * j + k
+        dart_of_port[p] = d
+        port_of_dart[d] = p
 
     def alpha(d: int) -> int:
         if d % 3 == 2:
             return d + 3 if d % 6 == 2 else d - 3
-        ci, si = port_of_dart[d]
-        return dart_of_port[arc_partner[(ci, si)]]
+        return dart_of_port[partner[port_of_dart[d]]]
 
     def sigma(d: int) -> int:
         return d - d % 3 + (d % 3 + 1) % 3
@@ -213,44 +155,31 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
         )
 
     # Trace circles through alternating join and arc hops, starting each
-    # circle with a join hop.
-    seen: set[tuple[int, int]] = set()
-    circles: list[tuple[tuple[int, int], ...]] = []
-    joins_map = {"A": A_JOINS, "B": B_JOINS}
-    join_partner: dict[tuple[int, int], tuple[int, int]] = {}
-    for ci in range(n):
-        for p, q in joins_map[state.choices[ci]]:
-            join_partner[(ci, p)] = (ci, q)
-            join_partner[(ci, q)] = (ci, p)
-    for ci in range(n):
-        for si in range(4):
-            start = (ci, si)
-            if start in seen:
-                continue
-            ports: list[tuple[int, int]] = []
-            port = start
-            while True:
-                ports.append(port)
-                seen.add(port)
-                hop = join_partner[port]
-                ports.append(hop)
-                seen.add(hop)
-                port = arc_partner[hop]
-                if port == start:
-                    break
-            circles.append(tuple(ports))
+    # circle with a join hop.  Within a crossing the A join pairs port p
+    # with p ^ 1 and the B join pairs p with p ^ 3.
+    seen = [False] * (4 * n)
+    circles: list[tuple[int, ...]] = []
+    for start in range(4 * n):
+        if seen[start]:
+            continue
+        ports: list[int] = []
+        port = start
+        while True:
+            hop = port ^ (1 if choices[port >> 2] == "A" else 3)
+            ports += (port, hop)
+            seen[port] = seen[hop] = True
+            port = partner[hop]
+            if port == start:
+                break
+        circles.append(tuple(ports))
 
-    circle_of_port: dict[tuple[int, int], int] = {}
-    for idx, ports in enumerate(circles):
-        for p in ports:
-            circle_of_port[p] = idx
-
+    circle_of_port = [0] * (4 * n)
     circle_of_join = [-1] * (2 * n)
     for idx, ports in enumerate(circles):
         for p in ports:
-            ci, si = p
-            j, _ = _join_of_slot(state.choices[ci], si)
-            flat = 2 * ci + j
+            circle_of_port[p] = idx
+            j, _ = _join_of_slot(choices[p >> 2], p & 3)
+            flat = 2 * (p >> 2) + j
             if circle_of_join[flat] not in (-1, idx):
                 raise AssertionError("join spans two circles")
             circle_of_join[flat] = idx
@@ -304,10 +233,9 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
     chord_orders: list[tuple[int, ...]] = []
     for idx, ports in enumerate(circles):
         joins: list[int] = []
-        for i in range(0, len(ports), 2):
-            ci, si = ports[i]
-            j, _ = _join_of_slot(state.choices[ci], si)
-            joins.append(2 * ci + j)
+        for p in ports[::2]:
+            j, _ = _join_of_slot(choices[p >> 2], p & 3)
+            joins.append(2 * (p >> 2) + j)
         want_ccw = depths[idx] % 2 == 0
         if trace_ccw[idx] != want_ccw:
             joins.reverse()
@@ -370,9 +298,6 @@ class RibbonGraph:
     @property
     def edge_count(self) -> int:
         return len(self._vertex_of) // 2
-
-    def vertex_of_dart(self, dart: int) -> int:
-        return self._vertex_of[dart]
 
     def edge_endpoints(self, edge: int) -> tuple[int, int]:
         return self._vertex_of[2 * edge], self._vertex_of[2 * edge + 1]
@@ -457,37 +382,6 @@ class RibbonGraph:
             )
         return doubled // 2
 
-    def to_text(self) -> str:
-        """Debug rendering: one line per vertex with dart/edge labels."""
-        lines = [
-            f"ribbon graph: {self.vertex_count} vertices, "
-            f"{self.edge_count} edges, genus {self.genus()}"
-        ]
-        for v, rot in enumerate(self.rotations):
-            ends = " ".join(f"e{d // 2}.{d % 2}" for d in rot)
-            lines.append(f"  v{v}: ({ends})")
-        for e in range(self.edge_count):
-            a, b = self.edge_endpoints(e)
-            tag = " loop" if a == b else ""
-            lines.append(f"  e{e}: v{a} -- v{b}{tag}")
-        return "\n".join(lines)
-
-    def to_dot(self) -> str:
-        """Graph-description output for external visualization tools.
-
-        Rotation order is preserved in dart-level ``port`` attributes;
-        plain viewers still get the underlying multigraph.
-        """
-        lines = ["graph ribbon {"]
-        for v, rot in enumerate(self.rotations):
-            order = ",".join(str(d) for d in rot)
-            lines.append(f'  v{v} [rotation="{order}"];')
-        for e in range(self.edge_count):
-            a, b = self.edge_endpoints(e)
-            lines.append(f'  v{a} -- v{b} [label="e{e}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def ribbon_graph(
     diagram: LinkDiagram, state: KauffmanState
@@ -501,56 +395,3 @@ def ribbon_graph(
     # and 2ci + 1 (at join 1); flat join index 2ci + j is the dart id.
     rotations = tuple(res.chord_orders)
     return RibbonGraph(rotations)
-
-
-def nesting_parity(
-    diagram: LinkDiagram, state: KauffmanState
-) -> tuple[bool, ...]:
-    """Per circle, True when it sits inside an odd number of circles.
-
-    Odd-depth circles are the ones whose rotation is read clockwise
-    when building the state's ribbon graph.
-    """
-    return tuple(d % 2 == 1 for d in resolve(diagram, state).depths)
-
-
-@dataclass(frozen=True)
-class SpanningSubgraph:
-    """An edge subset of a ribbon graph, keeping every vertex."""
-
-    graph: RibbonGraph
-    edge_mask: int
-
-    @property
-    def edge_count(self) -> int:
-        return bin(self.edge_mask).count("1")
-
-    @property
-    def vertex_count(self) -> int:
-        return self.graph.vertex_count
-
-    @property
-    def component_count(self) -> int:
-        return self.graph.component_count(self.edge_mask)
-
-    @property
-    def face_count(self) -> int:
-        return self.graph.faces(self.edge_mask)
-
-    @property
-    def genus(self) -> int:
-        return self.graph.genus(self.edge_mask)
-
-    @property
-    def loops_only(self) -> bool:
-        return self.edge_mask & ~self.graph.loop_mask() == 0
-
-
-def loop_subgraph(graph: RibbonGraph) -> SpanningSubgraph:
-    """The spanning subgraph keeping exactly the one-edge loops."""
-    return SpanningSubgraph(graph=graph, edge_mask=graph.loop_mask())
-
-
-def has_one_edge_loop(graph: RibbonGraph) -> bool:
-    """True when some edge starts and ends at one vertex."""
-    return graph.loop_mask() != 0

@@ -23,17 +23,14 @@ from kauffman.adequacy import (
     is_a_adequate,
     is_b_adequate,
 )
-from kauffman.bracket import bracket, bracket_fast
+from kauffman.bracket import bracket
 from kauffman.corpus import bundled
 from kauffman.diagram import cable, mirror
-from kauffman.jones import cable_family, reduced, unreduced
+from kauffman.jones import reduced, unreduced
 from kauffman.laurent import LaurentPoly
-from kauffman.states import (
-    KauffmanState,
-    circle_count,
-    loop_subgraph,
-    ribbon_graph,
-)
+from kauffman.states import KauffmanState, ribbon_graph
+
+from oracles import oracle_circles
 
 
 @pytest.fixture(scope="module")
@@ -43,23 +40,18 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def cable_data(corpus):
-    """Per entry: cables, their fast-engine brackets, and top coeffs."""
+    """Per entry: the diagram, whose memo keeps its cables and their
+    fast-engine brackets for the tests below, and its top coeffs."""
     data = {}
     for name, entry in corpus.items():
         d = entry.diagram()
         if d.is_empty:
             continue
         top_width = 3 if d.crossing_count <= 3 else 2
-        cables = {m: cable(d, m) for m in range(1, top_width + 1)}
-        family = {m: bracket_fast(c) for m, c in cables.items()}
-        tops, nexts = cable_top_coeffs(
-            d, top_width, cables=cables, family=family
-        )
+        tops, nexts = cable_top_coeffs(d, top_width)
         data[name] = {
             "diagram": d,
             "top_width": top_width,
-            "cables": cables,
-            "family": family,
             "tops": tops,
             "nexts": nexts,
         }
@@ -92,8 +84,8 @@ def test_face_counts_equal_state_circle_counts(corpus, small_diagrams):
             continue
         graph = ribbon_graph(d, KauffmanState.all_A(c))
         for mask in range(1 << c):
-            circles = circle_count(d, KauffmanState.from_b_mask(mask, c))
-            assert graph.faces(mask) == circles
+            choices = ["B" if mask >> i & 1 else "A" for i in range(c)]
+            assert graph.faces(mask) == oracle_circles(d, choices)
     assert time.monotonic() - started < 30
 
 
@@ -109,9 +101,7 @@ def test_interleaved_loops_have_genus_one_and_cabled_loops_none(cable_data):
         for m in (2, 3):
             d = cable(data["diagram"], m)
             graph = ribbon_graph(d, KauffmanState.all_A(d.crossing_count))
-            sub = loop_subgraph(graph)
-            assert sub.loops_only
-            assert sub.genus == 0, (name, m)
+            assert graph.genus(graph.loop_mask()) == 0, (name, m)
 
 
 def test_reduced_unknot_is_one_and_kink_invariant(corpus):
@@ -130,11 +120,11 @@ def test_degrees_stay_under_ceilings(cable_data):
     for name, data in cable_data.items():
         d = data["diagram"]
         hi, lo = degree_ceilings(d)
-        value = data["family"][1]
+        value = bracket(d)
         assert lo <= value.min_degree(), name
         assert value.max_degree() <= hi, name
         for n in range(1, data["top_width"] + 1):
-            g = unreduced(d, n, family=data["family"])
+            g = unreduced(d, n)
             assert g.max_degree() <= h_ceiling(d, n), (name, n)
 
 
@@ -144,13 +134,13 @@ def test_width_two_degree_equality_characterizes_adequacy(cable_data):
         d = data["diagram"]
         adequate = is_a_adequate(d)
         h2 = h_ceiling(d, 2)
-        g2 = unreduced(d, 2, family=data["family"])
+        g2 = unreduced(d, 2)
         equal2 = g2.max_degree() == h2
         assert equal2 == adequate, name
         if adequate:
             assert g2.coeff(h2) in (-1, 1), name
         if data["top_width"] >= 3:
-            g3 = unreduced(d, 3, family=data["family"])
+            g3 = unreduced(d, 3)
             equal3 = g3.max_degree() == h_ceiling(d, 3)
             assert equal2 == equal3, name
     assert time.monotonic() - started < 1800
@@ -208,7 +198,7 @@ def test_mirror_dualities(corpus):
 
 def test_first_tail_coefficient_dichotomy(cable_data):
     for name, data in cable_data.items():
-        first = beta_prefix(data["diagram"], 1, family=data["family"])[0]
+        first = beta_prefix(data["diagram"], 1)[0]
         if is_a_adequate(data["diagram"]):
             assert first in (-1, 1), name
         else:

@@ -19,10 +19,8 @@ from kauffman.adequacy import (
     beta_prefix,
     cable_top_coeffs,
     degree_ceilings,
-    degree_equality,
     feasible_width,
     h_ceiling,
-    h_ceiling_mirror,
     is_a_adequate,
     is_b_adequate,
     state_graph,
@@ -31,6 +29,7 @@ from kauffman.adequacy import (
 )
 from kauffman.corpus import bundled
 from kauffman.diagram import LinkDiagram, mirror
+from kauffman.jones import unreduced
 from kauffman.laurent import LaurentPoly
 from kauffman.states import KauffmanState, ribbon_graph
 
@@ -94,9 +93,13 @@ class TestCeilings:
             assert h_ceiling(d, n) == 6 * n * n + 12 * n - 2
 
     def test_mirror_ceiling_relation(self, corpus_diagrams):
-        for d in corpus_diagrams.values():
-            for n in (1, 2, 3):
-                assert h_ceiling_mirror(d, n) == -h_ceiling(mirror(d), n)
+        # the mirror's ceiling, negated, floors the minimal exponent
+        for name, d in corpus_diagrams.items():
+            if d.is_empty:
+                continue
+            for n in (1, 2):
+                floor = -h_ceiling(mirror(d), n)
+                assert unreduced(d, n).min_degree() >= floor, (name, n)
 
     def test_feasible_width_policy(self, corpus_diagrams):
         assert feasible_width(corpus_diagrams["trefoil-left"]) == 3
@@ -157,12 +160,9 @@ class TestDegreeEquality:
         ],
     )
     def test_both_sides_agree(self, corpus_diagrams, name):
-        equal, adequate = degree_equality(corpus_diagrams[name], 2)
-        assert equal == adequate
-
-    def test_width_one_rejected(self, corpus_diagrams):
-        with pytest.raises(ValueError, match="width >= 2"):
-            degree_equality(corpus_diagrams["trefoil-left"], 1)
+        d = corpus_diagrams[name]
+        equal = unreduced(d, 2).max_degree() == h_ceiling(d, 2)
+        assert equal == is_a_adequate(d)
 
 
 class TestTInvariant:

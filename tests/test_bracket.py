@@ -19,9 +19,7 @@ from kauffman.bracket import (
     bracket_fast,
     bracket_statesum,
     bracket_subgraph,
-    extreme_coeffs,
 )
-from kauffman.corpus import bundled, by_name
 from kauffman.diagram import LinkDiagram, cable, mirror
 from kauffman.laurent import LaurentPoly
 
@@ -92,7 +90,8 @@ class TestFrozenValues:
 
     def test_extreme_coeffs_of_left_trefoil(self, corpus_diagrams):
         p = bracket(corpus_diagrams["trefoil-left"])
-        assert extreme_coeffs(p) == (7, 1, -5, -1)
+        hi, lo = p.max_degree(), p.min_degree()
+        assert (hi, p.coeff(hi), lo, p.coeff(lo)) == (7, 1, -5, -1)
 
 
 class TestNormalization:
@@ -156,9 +155,9 @@ class TestLargerConsistency:
         for engine in ENGINES:
             assert bracket(d, engine=engine) == expected
 
-    def test_two_cable_of_left_trefoil_engines_agree(self):
+    def test_two_cable_of_left_trefoil_engines_agree(self, corpus_diagrams):
         # 12 crossings: compare the engines to one another
-        d = cable(by_name("trefoil-left").diagram(), 2)
+        d = cable(corpus_diagrams["trefoil-left"], 2)
         reference = bracket_fast(d)
         assert bracket_statesum(d) == reference
         assert bracket_subgraph(d) == reference

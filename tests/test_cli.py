@@ -105,6 +105,33 @@ class TestExitCodes:
         assert "error: cable width must be nonnegative" in err
 
 
+class TestOptionRegistration:
+    """Each subcommand registers only the shared options it reads."""
+
+    @pytest.mark.parametrize("argv", [
+        ["bracket", "--workers", "2", KINK_POS],
+        ["cjones", "--n", "1", "--workers", "2", KINK_POS],
+        ["adequacy", "--workers", "2", KINK_POS],
+        ["cable", "--n", "2", "--workers", "2", KINK_POS],
+        ["cable", "--n", "2", "--engine", "fast", KINK_POS],
+        ["cable", "--n", "2", "--cap", "5", KINK_POS],
+        ["verify", "--engine", "fast"],
+    ])
+    def test_unregistered_option_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_registered_options_still_parse(self, capsys):
+        rc, out, _ = run(
+            capsys, "adequacy", "--engine", "statesum", "--cap", "20",
+            "--nmax", "1", KINK_POS,
+        )
+        assert rc == 0
+        assert "A-adequate: True" in out
+
+
 class TestCjonesCommand:
     def test_reduced_text(self, capsys):
         rc, out, _ = run(capsys, "cjones", "--n", "1", LH_TREFOIL)

@@ -1,16 +1,16 @@
 """Byte-for-byte CLI output over the bundled corpus, against a golden file.
 
 ``golden_cli.json`` holds the exit code and stdout of every command
-below, in text and ``--json`` form, as the package printed them before
-the per-diagram memo and the shared port table were introduced.  Any
-refactor must leave every line identical.  To re-record after an
-intended output change, run ``python tests/test_golden_cli.py``
-from the repository root with ``src`` on the path.
+below, in text and ``--json`` form.  A refactor must leave every
+record identical.  To re-record after an intended output change, run
+``python tests/test_golden_cli.py`` from the repository root with
+``src`` on the path.
 """
 
 import contextlib
 import io
 import json
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -56,7 +56,8 @@ def run(argv: list[str]) -> dict:
 def run_all(argvs: list[list[str]]) -> list[dict]:
     """Every invocation, spread over two worker processes to keep the
     test's wall time near half of its ten CPU-seconds."""
-    with ProcessPoolExecutor(max_workers=2) as pool:
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
         return list(pool.map(run, argvs))
 
 

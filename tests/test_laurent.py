@@ -17,13 +17,6 @@ polys = st.dictionaries(
 
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
-plain_polys = st.dictionaries(
-    st.integers(min_value=0, max_value=8),
-    st.integers(min_value=-9, max_value=9),
-    max_size=5,
-).map(LaurentPoly)
-
-
 class TestConstruction:
     def test_zero_drops_terms(self):
         assert LaurentPoly({3: 0, 1: 2}) == LaurentPoly({1: 2})
@@ -147,17 +140,3 @@ class TestConversions:
     def test_to_pairs_descending(self):
         p = LaurentPoly({-2: 5, 6: 1})
         assert p.to_pairs() == [[6, 1], [-2, 5]]
-
-    @given(plain_polys, plain_polys)
-    def test_evaluate_poly_is_substitution_hom(self, a, b):
-        x = LaurentPoly({1: 1, 0: 2})
-        assert (a + b).evaluate_poly(x) == a.evaluate_poly(
-            x
-        ) + b.evaluate_poly(x)
-        assert (a * b).evaluate_poly(x) == a.evaluate_poly(
-            x
-        ) * b.evaluate_poly(x)
-
-    def test_evaluate_poly_rejects_negative_exponents(self):
-        with pytest.raises(ValueError, match="plain polynomial"):
-            LaurentPoly({-1: 1}).evaluate_poly(LaurentPoly.one())

@@ -10,15 +10,9 @@ union-find vs rotation-system face tracing), so agreement over all
 
 import pytest
 
-from kauffman.corpus import bundled, by_name
 from kauffman.states import (
     KauffmanState,
     RibbonGraph,
-    SpanningSubgraph,
-    circle_count,
-    has_one_edge_loop,
-    loop_subgraph,
-    nesting_parity,
     resolve,
     ribbon_graph,
 )
@@ -26,15 +20,26 @@ from kauffman.states import (
 from oracles import oracle_circles
 
 
+def _from_b_mask(mask, crossing_count):
+    """Bit i set means crossing i is resolved the B way."""
+    return KauffmanState(tuple(
+        "B" if mask >> i & 1 else "A" for i in range(crossing_count)
+    ))
+
+
 def _all_states(crossing_count):
     for mask in range(1 << crossing_count):
-        yield KauffmanState.from_b_mask(mask, crossing_count)
+        yield _from_b_mask(mask, crossing_count)
+
+
+def circle_count(diagram, state):
+    return resolve(diagram, state).circle_count
 
 
 class TestKauffmanState:
     def test_mask_round_trip(self):
-        s = KauffmanState.from_b_mask(0b1011, 5)
-        assert s.choices == ("B", "B", "A", "B", "A")
+        s = KauffmanState(("B", "B", "A", "B", "A"))
+        assert _from_b_mask(0b1011, 5) == s
         assert s.b_mask == 0b1011
         assert s.b_count == 3
 
@@ -49,7 +54,7 @@ class TestKauffmanState:
     def test_length_mismatch_rejected(self, corpus_diagrams):
         d = corpus_diagrams["trefoil-left"]
         with pytest.raises(ValueError, match="does not match crossing count"):
-            circle_count(d, KauffmanState.all_A(2))
+            ribbon_graph(d, KauffmanState.all_A(2))
         with pytest.raises(ValueError, match="does not match crossing count"):
             resolve(d, KauffmanState.all_B(4))
 
@@ -99,7 +104,7 @@ class TestResolution:
         d = corpus_diagrams["trefoil-left"]
         for s in _all_states(3):
             r = resolve(d, s)
-            assert r.circle_count == circle_count(d, s)
+            assert r.circle_count == oracle_circles(d, s.choices)
             assert len(r.depths) == r.circle_count
             assert len(r.chord_orders) == r.circle_count
 
@@ -113,11 +118,8 @@ class TestResolution:
     )
     def test_frozen_depths(self, corpus_diagrams, name, mask, depths):
         d = corpus_diagrams[name]
-        r = resolve(d, KauffmanState.from_b_mask(mask, d.crossing_count))
+        r = resolve(d, _from_b_mask(mask, d.crossing_count))
         assert r.depths == depths
-        assert nesting_parity(
-            d, KauffmanState.from_b_mask(mask, d.crossing_count)
-        ) == tuple(x % 2 == 1 for x in depths)
 
     def test_positive_kink_is_never_nested(self, corpus_diagrams):
         d = corpus_diagrams["kink-positive"]
@@ -134,7 +136,6 @@ class TestRibbonGraphBasics:
         assert g.loop_mask() == 1
         assert g.faces() == 2
         assert g.genus() == 0
-        assert has_one_edge_loop(g)
 
     def test_isolated_vertex(self):
         g = RibbonGraph(((),))
@@ -213,11 +214,9 @@ class TestDuality:
         g_a = ribbon_graph(d, KauffmanState.all_A(c))
         g_b = ribbon_graph(d, KauffmanState.all_B(c))
         for mask in range(1 << c):
-            circles_b = circle_count(d, KauffmanState.from_b_mask(mask, c))
+            circles_b = circle_count(d, _from_b_mask(mask, c))
             assert g_a.faces(mask) == circles_b
-            circles_a = circle_count(
-                d, KauffmanState.from_b_mask(full ^ mask, c)
-            )
+            circles_a = circle_count(d, _from_b_mask(full ^ mask, c))
             assert g_b.faces(mask) == circles_a
 
     def test_duality_on_corpus(self, corpus_diagrams):
@@ -248,17 +247,16 @@ class TestFaceCombinatorics:
     def test_vertices_bound_components(self, corpus_diagrams):
         for g in self._graphs(corpus_diagrams):
             for mask in range(1 << g.edge_count):
-                sub = SpanningSubgraph(graph=g, edge_mask=mask)
-                assert sub.vertex_count >= sub.component_count
-                assert sub.component_count >= 1
+                assert g.vertex_count >= g.component_count(mask)
+                assert g.component_count(mask) >= 1
 
     def test_euler_formula(self, corpus_diagrams):
         # v - e + f = 2k - 2g on every spanning subgraph
         for g in self._graphs(corpus_diagrams):
             for mask in range(1 << g.edge_count):
-                sub = SpanningSubgraph(graph=g, edge_mask=mask)
-                lhs = sub.vertex_count - sub.edge_count + sub.face_count
-                assert lhs == 2 * sub.component_count - 2 * sub.genus
+                e = bin(mask).count("1")
+                lhs = g.vertex_count - e + g.faces(mask)
+                assert lhs == 2 * g.component_count(mask) - 2 * g.genus(mask)
 
 
 class TestSubgraphHelpers:
@@ -268,45 +266,15 @@ class TestSubgraphHelpers:
         assert g.edge_count == 3
         assert g.loop_mask() == 0b111
         assert g.genus() == 1  # two of the three loops interleave
-        sub = loop_subgraph(g)
-        assert sub.loops_only
-        assert sub.edge_count == 3
-        assert sub.genus == 1
+        assert g.genus(g.loop_mask()) == 1
 
     def test_left_trefoil_has_no_loops(self, corpus_diagrams):
         g = ribbon_graph(corpus_diagrams["trefoil-left"], KauffmanState.all_A(3))
-        assert not has_one_edge_loop(g)
         assert g.loop_mask() == 0
-        sub = loop_subgraph(g)
-        assert sub.edge_count == 0
-        assert sub.face_count == g.vertex_count
+        assert g.faces(g.loop_mask()) == g.vertex_count
 
     def test_loops_only_flag(self):
         g = RibbonGraph(((0, 1, 2), (3,)))
         assert g.loop_mask() == 0b01
-        assert SpanningSubgraph(graph=g, edge_mask=0b01).loops_only
-        assert not SpanningSubgraph(graph=g, edge_mask=0b11).loops_only
-
-
-class TestRendering:
-    def test_to_text_frozen(self):
-        g = RibbonGraph(((1, 2, 0, 3),))
-        assert g.to_text() == (
-            "ribbon graph: 1 vertices, 2 edges, genus 1\n"
-            "  v0: (e0.1 e1.0 e0.0 e1.1)\n"
-            "  e0: v0 -- v0 loop\n"
-            "  e1: v0 -- v0 loop"
-        )
-
-    def test_to_dot_frozen(self):
-        g = RibbonGraph(((0,), (1,)))
-        text = g.to_dot()
-        assert text.startswith("graph ribbon {")
-        assert 'v0 -- v1 [label="e0"]' in text
-        assert text.rstrip().endswith("}")
-
-    def test_to_dot_lists_every_edge(self, corpus_diagrams):
-        g = ribbon_graph(corpus_diagrams["figure-eight"], KauffmanState.all_A(4))
-        text = g.to_dot()
-        for e in range(g.edge_count):
-            assert f'[label="e{e}"]' in text
+        assert g.is_loop(0)
+        assert not g.is_loop(1)
