@@ -14,9 +14,11 @@ Engines:
   different machinery (nesting-aware rotations), so agreement with the
   state sum is strong evidence for both.
 * ``bracket_fast``: a sweep that processes one crossing at a time and
-  merges partial diagrams with identical open-strand matchings.  The
-  number of live states stays small for cabled diagrams, which is where
-  the exponential engines give out.
+  merges partial diagrams with identical open-strand matchings, the
+  gluing of Bar-Natan's "Fast Khovanov homology computations".  A
+  state is keyed by its open boundary alone and its weight is packed
+  into one integer.  The number of live states stays small for cabled
+  diagrams, which is where the exponential engines give out.
 """
 
 from __future__ import annotations
@@ -158,85 +160,118 @@ def _sweep_order(diagram: LinkDiagram) -> list[int]:
     return order
 
 
+def _frontier_plan(diagram: LinkDiagram, order: list[int]):
+    """The open boundary of every step, built in O(4c) in all.  A port
+    holds a key slot from the step that processes its arc partner's
+    crossing to the step that processes its own; freed slots are reused.
+    Per step: the crossing's first port, its open ports with their
+    slots, the arc partners of its other ports and the open-port count
+    after it.  Also ``slot_of`` (port -> slot) and the key width."""
+    partner = diagram.partner
+    slot_of = [-1] * len(partner)
+    free: list[int] = []
+    width = open_ports = 0
+    steps = []
+    for ci in order:
+        ports = range(4 * ci, 4 * ci + 4)
+        reads = tuple((p, slot_of[p]) for p in ports if slot_of[p] >= 0)
+        fixed = {p: partner[p] for p in ports if slot_of[p] < 0}
+        free.extend(s for _, s in reads)
+        opened = [q for q in fixed.values() if q >> 2 != ci]
+        for q in opened:
+            slot_of[q] = free.pop() if free else width
+            width = max(width, slot_of[q] + 1)
+        open_ports += len(opened) - len(reads)
+        steps.append((4 * ci, reads, fixed, open_ports))
+    return steps, slot_of, width
+
+
+def _weight_slots(c: int) -> tuple[int, int]:
+    """Bits per slot and the slot of ``u**0``: a weight, a Laurent
+    polynomial in ``u = A**2``, is packed as its value at ``u = 2**bits``.
+    After ``k`` crossings it sums at most ``2**k`` terms
+    ``u**(#A) * delta**L``, ``L`` the circles closed.  The diagram is
+    connected, so ``L <= k + 1``: circles, open strands and crossings
+    form a graph with ``2k`` edges, one component per piece of the swept
+    region, and each piece has an open strand until the last step.  So
+    exponents stay at or above ``-(c + 1)``, the offset, and each
+    ``>> bits`` drops an empty slot; coefficients stay within
+    ``2**k * 2**L <= 2**(2c + 1)``, inside balanced ``2c + 3``-bit digits.
+    """
+    return 2 * c + 3, c + 1
+
+
+def _unpack(packed: int, c: int) -> LaurentPoly:
+    """The weight that ``packed`` encodes, as a polynomial in ``A``."""
+    bits, offset = _weight_slots(c)
+    half = 1 << (bits - 1)
+    terms = {}  # slot j holds u**(j - offset)
+    while packed:
+        digit = ((packed + half) & (2 * half - 1)) - half
+        terms[2 * (len(terms) - offset)] = digit
+        packed = (packed - digit) >> bits
+    return LaurentPoly(terms)
+
+
 def bracket_fast(
     diagram: LinkDiagram, *, max_states: int = 200_000
 ) -> LaurentPoly:
     """Bracket via a crossing-by-crossing sweep.
 
-    A partial computation is a pairing of the still-open ports plus a
-    polynomial weight; branches with the same pairing merge.  Memory is
-    bounded by ``max_states`` live pairings; exceeding it raises
-    :class:`CapExceeded`.
+    A partial computation is a pairing of the open ports (ports of
+    unprocessed crossings whose arcs run into the processed region) and
+    a weight packed into one integer (:func:`_weight_slots`); branches
+    with the same pairing merge.  The open ports depend only on the
+    step, so a state's key is their partners in a fixed slot order, and
+    every other port keeps its arc partner.  A step raises
+    :class:`CapExceeded` once its table outgrows ``max_states``.
     """
     c = diagram.crossing_count
     if c == 0:
         return _crossingless_value(diagram)
-    order = _sweep_order(diagram)
+    steps, slot_of, width = _frontier_plan(diagram, _sweep_order(diagram))
+    bits, offset = _weight_slots(c)
+    closed = (-1,) * width
+    states = {closed: 1 << (bits * offset)}
 
-    def canonical(link: dict[int, int]) -> tuple:
-        return tuple(sorted((p, q) for p, q in link.items() if p < q))
-
-    start = dict(enumerate(diagram.partner))
-    states: dict[tuple, dict[int, int]] = {canonical(start): {0: 1}}
-    links: dict[tuple, dict[int, int]] = {canonical(start): start}
-
-    for step, ci in enumerate(order):
-        base = 4 * ci
-        new_states: dict[tuple, dict[int, int]] = {}
-        new_links: dict[tuple, dict[int, int]] = {}
-        for key, poly in states.items():
-            link = links[key]
-            for shift, pairs in (
-                (1, ((base, base + 1), (base + 2, base + 3))),
-                (-1, ((base, base + 3), (base + 1, base + 2))),
-            ):
-                branch = dict(link)
-                loops = 0
+    for done, (base, reads, fixed, open_ports) in enumerate(steps, 1):
+        a_pairs = ((base, base + 1), (base + 2, base + 3))
+        b_pairs = ((base, base + 3), (base + 1, base + 2))
+        new_states: dict[tuple, int] = {}
+        for key, weight in states.items():
+            ends = {**fixed, **{p: key[s] for p, s in reads}}
+            # The A join multiplies by A = u * A^-1 and the B join by
+            # A^-1; the A^-1 of every crossing is put back at the end.
+            for w, pairs in ((weight << bits, a_pairs), (weight, b_pairs)):
+                link = dict(ends)
                 for p, q in pairs:
-                    a, b = branch.pop(p), branch.pop(q)
-                    if a == q:
-                        loops += 1
+                    a, b = link.pop(p), link.pop(q)
+                    if a == q:  # a closed circle: times -(u + u^-1)
+                        w = -((w << bits) + (w >> bits))
                     else:
-                        branch[a] = b
-                        branch[b] = a
-                # weight: A^shift times delta^loops
-                weighted: dict[int, int] = {}
-                for exp, coeff in poly.items():
-                    weighted[exp + shift] = (
-                        weighted.get(exp + shift, 0) + coeff
+                        link[a] = b
+                        link[b] = a
+                branch = list(key)
+                for _, s in reads:  # freed; an opened port may take one
+                    branch[s] = -1
+                for p, q in link.items():
+                    branch[slot_of[p]] = q
+                bkey = tuple(branch)
+                prior = new_states.get(bkey)
+                new_states[bkey] = w if prior is None else prior + w
+                if len(new_states) > max_states:
+                    raise CapExceeded(
+                        f"open-boundary pairings exceed max_states={max_states}",
+                        {"crossings_done": done, "crossings_total": c,
+                         "states": len(new_states), "open_ports": open_ports},
                     )
-                for _ in range(loops):
-                    bumped: dict[int, int] = {}
-                    for exp, coeff in weighted.items():
-                        bumped[exp + 2] = bumped.get(exp + 2, 0) - coeff
-                        bumped[exp - 2] = bumped.get(exp - 2, 0) - coeff
-                    weighted = bumped
-                bkey = canonical(branch)
-                slot = new_states.get(bkey)
-                if slot is None:
-                    new_states[bkey] = weighted
-                    new_links[bkey] = branch
-                else:
-                    for exp, coeff in weighted.items():
-                        slot[exp] = slot.get(exp, 0) + coeff
-        if len(new_states) > max_states:
-            raise CapExceeded(
-                f"open-boundary pairings exceed max_states={max_states}",
-                {
-                    "crossings_done": step + 1,
-                    "crossings_total": c,
-                    "states": len(new_states),
-                },
-            )
         states = new_states
-        links = new_links
 
-    if list(states.keys()) != [()]:
+    if list(states) != [closed]:
         raise AssertionError("sweep left open strands")
-    total = LaurentPoly(states[()])
     # Every closed circle contributed a delta, so this is delta times
     # the normalized bracket.
-    return total.exact_div(DELTA)
+    return _unpack(states[closed], c).shift(-c).exact_div(DELTA)
 
 
 BRACKET_ENGINES = {

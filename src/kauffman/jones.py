@@ -90,16 +90,16 @@ def _counted_sum(
     ``S_n`` with each power ``x**m`` (``m >= 1``) replaced by the
     bracket of the width-``m`` cable and the constant term kept.  No
     writhe correction is applied; this is the raw state sum whose top
-    degree the adequacy bounds speak about.
+    degree the adequacy bounds speak about.  Only the widths that
+    ``S_n`` has (those of ``n``'s parity) are cabled and bracketed.
     """
     if n < 0:
         raise ValueError("cable width must be nonnegative")
     expansion = chebyshev(n)
     acc = LaurentPoly.const(expansion.coeff(0))
-    for m in range(1, n + 1):
-        value = bracket(cable(diagram, m), engine=engine, **limits)
-        c = expansion.coeff(m)
-        if c:
+    for m, c in expansion.coeffs:
+        if m:
+            value = bracket(cable(diagram, m), engine=engine, **limits)
             acc = acc + LaurentPoly.const(c) * value
     return acc
 

@@ -7,6 +7,8 @@ merging boundary pairings.  The tests drive all of them against
 ``oracles.oracle_bracket``, which shares no code with the package.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,8 +21,11 @@ from kauffman.bracket import (
     bracket_fast,
     bracket_statesum,
     bracket_subgraph,
+    _sweep_order,
+    _unpack,
+    _weight_slots,
 )
-from kauffman.diagram import LinkDiagram, cable, mirror
+from kauffman.diagram import LinkDiagram, cable, from_slot_tuples, mirror
 from kauffman.laurent import LaurentPoly
 
 from conftest import small_pool
@@ -137,6 +142,35 @@ class TestResourceCaps:
         with pytest.raises(CapExceeded, match="exceed max_states=1"):
             bracket_fast(corpus_diagrams["figure-eight"], max_states=1)
 
+    @pytest.mark.parametrize(
+        "name,width,cap,crossings_done,open_ports",
+        [
+            ("trefoil-left", 4, 857, 34, 16),
+            ("figure-eight", 3, 40, 7, 12),
+            ("figure-eight", 3, 100, 9, 12),
+        ],
+    )
+    def test_fast_cap_trips_inside_the_step(
+        self, corpus_diagrams, name, width, cap, crossings_done, open_ports
+    ):
+        # the step whose table outgrows the cap raises as soon as it
+        # does, so it holds one state more than the cap, never a whole
+        # step's worth; the step is the one a check after it would name
+        d = cable(corpus_diagrams[name], width)
+        with pytest.raises(CapExceeded, match=f"exceed max_states={cap}$") as info:
+            bracket_fast(d, max_states=cap)
+        assert info.value.detail == {
+            "crossings_done": crossings_done,
+            "crossings_total": d.crossing_count,
+            "states": cap + 1,
+            "open_ports": open_ports,
+        }
+
+    def test_fast_cap_at_the_peak(self, corpus_diagrams):
+        # 858 live pairings is the peak of the width-4 trefoil cable
+        d = cable(corpus_diagrams["trefoil-left"], 4)
+        assert bracket_fast(d, max_states=858) == bracket_fast(d)
+
     def test_cap_detail_payload(self, corpus_diagrams):
         with pytest.raises(CapExceeded) as info:
             bracket_statesum(corpus_diagrams["trefoil-left"], cap=2)
@@ -161,3 +195,75 @@ class TestLargerConsistency:
         reference = bracket_fast(d)
         assert bracket_statesum(d) == reference
         assert bracket_subgraph(d) == reference
+
+
+def _shuffled(diagram, seed):
+    """The same diagram with its crossings listed in a shuffled order,
+    and the old index of each new crossing."""
+    perm = list(range(diagram.crossing_count))
+    random.Random(seed).shuffle(perm)
+    tuples = [diagram.crossings[ci].slots for ci in perm]
+    return from_slot_tuples(tuples), perm
+
+
+def _kink_chain(n, sign):
+    """An unknot with ``n`` curls of one sign in a row."""
+    if sign > 0:
+        slots = [(2 * i + 1, 2 * i + 3, 2 * i + 2, 2 * i + 2) for i in range(n)]
+    else:
+        slots = [(2 * i + 1, 2 * i + 2, 2 * i + 2, 2 * i + 3) for i in range(n)]
+    last = slots[-1]
+    slots[-1] = tuple(1 if a == 2 * n + 1 else a for a in last)
+    return from_slot_tuples(slots)
+
+
+class TestSweepBeyondOracle:
+    """Cables too wide for the exponential engines, checked against the
+    sweep itself under relabelling, and the packed weights at their
+    bounds."""
+
+    @pytest.mark.parametrize(
+        "name,width",
+        [("trefoil-left", 3), ("figure-eight", 3), ("trefoil-left", 4)],
+    )
+    def test_crossing_order_does_not_matter(self, corpus_diagrams, name, width):
+        # a shuffled listing changes the greedy order, so the sweep
+        # meets other boundaries, keys and merges
+        d = cable(corpus_diagrams[name], width)
+        expected = bracket_fast(d)
+        order = _sweep_order(d)
+        for seed in range(3):
+            shuffled, perm = _shuffled(d, seed)
+            assert [perm[ci] for ci in _sweep_order(shuffled)] != order
+            assert bracket_fast(shuffled) == expected
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_kink_chains(self, n, sign):
+        # the all-B state of a chain of negative curls has n + 1 circles
+        # and no A join, so its weight reaches u^-(n+1), the lowest
+        # exponent the packed weights make room for
+        d = _kink_chain(n, sign)
+        assert d.crossing_count == n
+        assert all(x.sign == sign for x in d.crossings)
+        assert bracket_fast(d) == LaurentPoly({3 * sign: -1}) ** n
+
+    @pytest.mark.parametrize("c", [1, 4, 48])
+    def test_packed_weights_round_trip_at_the_bound(self, c):
+        # every coefficient is at most 2^(2c+1) in absolute value and
+        # every u-exponent lies in -(c+1)..2c+1
+        bits, offset = _weight_slots(c)
+        bound = 2 ** (2 * c + 1)
+        exps = range(-(c + 1), 2 * c + 2)
+        for coeffs in (
+            [bound] * len(exps),
+            [-bound] * len(exps),
+            [(-1) ** j * bound for j in range(len(exps))],
+            [(-1) ** j * (bound - j) for j in range(len(exps))],
+        ):
+            packed = sum(
+                k << (bits * (e + offset)) for e, k in zip(exps, coeffs)
+            )
+            assert _unpack(packed, c) == LaurentPoly(
+                {2 * e: k for e, k in zip(exps, coeffs)}
+            )

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kauffman import jones
 from kauffman.bracket import DELTA, bracket
 from kauffman.diagram import LinkDiagram, cable, mirror, parse_pd, writhe
 from kauffman.jones import (
@@ -147,6 +148,20 @@ class TestCabledBracket:
     def test_engine_parameter_passthrough(self, corpus_diagrams):
         d = corpus_diagrams["trefoil-left"]
         assert unreduced(d, 2, engine="statesum") == unreduced(d, 2)
+
+    @pytest.mark.parametrize("n,widths", [(3, [1, 3]), (4, [2, 4])])
+    def test_brackets_only_the_widths_of_s_n(self, monkeypatch, n, widths):
+        # S_n has only powers of n's parity; the other widths would be
+        # bracketed only to be multiplied by zero
+        swept = []
+
+        def spy(diagram, **kwargs):
+            swept.append(diagram.crossing_count)
+            return bracket(diagram, **kwargs)
+
+        monkeypatch.setattr(jones, "bracket", spy)
+        unreduced(parse_pd("X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"), n)
+        assert swept == [3 * m * m for m in widths]
 
 
 FROZEN_UNREDUCED = {
