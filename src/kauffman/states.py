@@ -254,8 +254,8 @@ class RibbonGraph:
     """An oriented ribbon graph: a rotation (cyclic dart order) at each
     vertex.  Edge i owns darts 2i and 2i + 1.
 
-    Face counts of spanning subgraphs drive both a bracket engine and
-    the adequacy invariants, so the boundary walk takes an edge mask.
+    ``bracket_subgraph`` counts faces from the rotations itself; the
+    per-mask walks below are the references the tests hold it to.
     """
 
     __slots__ = ("rotations", "_vertex_of", "_rot_next")
@@ -318,7 +318,7 @@ class RibbonGraph:
 
     def component_count(self, edge_mask: int | None = None) -> int:
         """Connected components of the spanning subgraph (isolated
-        vertices count)."""
+        vertices count).  Used by :meth:`genus`."""
         if edge_mask is None:
             edge_mask = self.full_mask
         parent = list(range(self.vertex_count))
@@ -339,7 +339,7 @@ class RibbonGraph:
     def faces(self, edge_mask: int | None = None) -> int:
         """Boundary components of the spanning subgraph with the given
         edges.  Vertices with no incident present edge contribute one
-        face each."""
+        face each.  The per-mask reference for ``bracket_subgraph``."""
         if edge_mask is None:
             edge_mask = self.full_mask
         rot_next = self._rot_next
@@ -368,7 +368,8 @@ class RibbonGraph:
         return count
 
     def genus(self, edge_mask: int | None = None) -> int:
-        """Genus of the spanning subgraph from its Euler characteristic."""
+        """Genus of the spanning subgraph from its Euler characteristic.
+        Tests check :meth:`faces` against it by the Euler relation."""
         if edge_mask is None:
             edge_mask = self.full_mask
         e = bin(edge_mask).count("1")

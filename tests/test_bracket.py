@@ -27,6 +27,7 @@ from kauffman.bracket import (
 )
 from kauffman.diagram import LinkDiagram, cable, from_slot_tuples, mirror
 from kauffman.laurent import LaurentPoly
+from kauffman.states import KauffmanState, ribbon_graph
 
 from conftest import small_pool
 from oracles import oracle_bracket
@@ -267,3 +268,70 @@ class TestSweepBeyondOracle:
             assert _unpack(packed, c) == LaurentPoly(
                 {2 * e: k for e, k in zip(exps, coeffs)}
             )
+
+
+def _port_walk_circles(diagram, mask):
+    """Circles of the resolution with B joins at the set bits of
+    ``mask``, walked port by port from nothing."""
+    partner = diagram.partner
+    seen = [False] * len(partner)
+    circles = 0
+    for start in range(len(partner)):
+        if seen[start]:
+            continue
+        circles += 1
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            q = p ^ (3 if mask >> (p >> 2) & 1 else 1)
+            seen[q] = True
+            p = partner[q]
+    return circles
+
+
+def _per_mask_bracket(c, loops_of):
+    """Sum A^(c - 2b) * delta^(f - 1) over every mask, b its set bits
+    and f = loops_of(mask)."""
+    total = LaurentPoly.zero()
+    for mask in range(1 << c):
+        b = bin(mask).count("1")
+        term = LaurentPoly({c - 2 * b: 1}) * DELTA ** (loops_of(mask) - 1)
+        total = total + term
+    return total
+
+
+class TestCheckersAgainstPerMaskWalks:
+    """The depth-first checkers against the walks they replace, which
+    rebuild every resolution and every spanning subgraph from nothing:
+    the port walk and the ribbon graph's boundary walk."""
+
+    @staticmethod
+    def _diagrams(corpus_diagrams, small_diagrams):
+        crossed = [d for d in corpus_diagrams.values() if d.crossing_count]
+        crossed.append(cable(corpus_diagrams["trefoil-left"], 2))
+        return crossed + list(small_diagrams)
+
+    def test_statesum_equals_the_port_walk(self, corpus_diagrams, small_diagrams):
+        for d in self._diagrams(corpus_diagrams, small_diagrams):
+            expected = _per_mask_bracket(
+                d.crossing_count, lambda mask: _port_walk_circles(d, mask)
+            )
+            assert bracket_statesum(d) == expected, d
+
+    def test_subgraph_equals_the_boundary_walk(
+        self, corpus_diagrams, small_diagrams
+    ):
+        for d in self._diagrams(corpus_diagrams, small_diagrams):
+            graph = ribbon_graph(d, KauffmanState.all_A(d.crossing_count))
+            expected = _per_mask_bracket(d.crossing_count, graph.faces)
+            assert bracket_subgraph(d) == expected, d
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_kink_chains_close_two_loops_at_once(self, n, sign):
+        # the last curl of a chain closes both of its loops in one of
+        # its two joins
+        d = _kink_chain(n, sign)
+        expected = LaurentPoly({3 * sign: -1}) ** n
+        assert bracket_statesum(d) == expected
+        assert bracket_subgraph(d) == expected
