@@ -63,15 +63,15 @@ class InvariantViolation(RuntimeError):
 def state_graph(diagram: LinkDiagram, side: str = "A") -> RibbonGraph:
     """Ribbon graph of the all-A or all-B state, built once per
     diagram object and side."""
-    c = diagram.crossing_count
     if side == "A":
-        state = KauffmanState.all_A(c)
+        extreme = KauffmanState.all_A
     elif side == "B":
-        state = KauffmanState.all_B(c)
+        extreme = KauffmanState.all_B
     else:
         raise ValueError(f"side must be 'A' or 'B', not {side!r}")
     return diagram._memoize(
-        ("graph", side), lambda: ribbon_graph(diagram, state)
+        ("graph", side),
+        lambda: ribbon_graph(diagram, extreme(diagram.crossing_count)),
     )
 
 

@@ -6,11 +6,15 @@ invariant failed (the failing check is named on stderr), 2 malformed
 input, 3 a resource cap was hit.  With ``--json`` all output is a
 single canonical JSON document (sorted keys, fixed separators), so
 identical inputs produce identical bytes.
+
+The argument parser is built once per process and shared by every
+:func:`main` call, so a long-lived caller pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -389,7 +393,10 @@ def _add_common(
     )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole argparse tree, built once per process: ``parse_args``
+    reads it and never changes it."""
     parser = argparse.ArgumentParser(
         prog="kauffman",
         description="Exact bracket, cabled colored Jones, and "

@@ -441,11 +441,14 @@ def cable(diagram: LinkDiagram, n: int) -> LinkDiagram:
 
     Each crossing becomes an n-by-n grid of crossings of the same sign;
     parallel copies of an arc never interleave.  Arc labels of the result
-    are renumbered canonically, so ``cable(d, 1) == d`` for valid input.
-    The cable is built once per diagram object and width.
+    are renumbered canonically, so the width-1 cable of valid input
+    equals the diagram: ``cable(d, 1)`` returns ``d`` itself, memo and
+    all.  A wider cable is built once per diagram object and width.
     """
     if n < 1:
         raise InvalidDiagramError("cable width must be at least 1")
+    if n == 1:
+        return diagram
     return diagram._memoize(("cable", n), lambda: _build_cable(diagram, n))
 
 

@@ -67,13 +67,15 @@ class KauffmanState:
         return mask
 
 
-def _join_of_slot(choice: str, si: int) -> tuple[int, int]:
-    """Map a slot to (join index, position within the join's port pair)."""
-    joins = A_JOINS if choice == "A" else B_JOINS
-    for j, pair in enumerate(joins):
-        if si in pair:
-            return j, pair.index(si)
-    raise AssertionError
+# (join index, position within the join's port pair) of each slot,
+# per resolution choice.
+_JOIN_OF_SLOT = {
+    choice: tuple(
+        next((j, pair.index(si)) for j, pair in enumerate(joins) if si in pair)
+        for si in range(4)
+    )
+    for choice, joins in (("A", A_JOINS), ("B", B_JOINS))
+}
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,7 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
     dart_of_port = [0] * (4 * n)
     port_of_dart = [-1] * (6 * n)
     for p in range(4 * n):
-        j, k = _join_of_slot(choices[p >> 2], p & 3)
+        j, k = _JOIN_OF_SLOT[choices[p >> 2]][p & 3]
         d = 6 * (p >> 2) + 3 * j + k
         dart_of_port[p] = d
         port_of_dart[d] = p
@@ -178,7 +180,7 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
     for idx, ports in enumerate(circles):
         for p in ports:
             circle_of_port[p] = idx
-            j, _ = _join_of_slot(choices[p >> 2], p & 3)
+            j, _ = _JOIN_OF_SLOT[choices[p >> 2]][p & 3]
             flat = 2 * (p >> 2) + j
             if circle_of_join[flat] not in (-1, idx):
                 raise AssertionError("join spans two circles")
@@ -234,7 +236,7 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
     for idx, ports in enumerate(circles):
         joins: list[int] = []
         for p in ports[::2]:
-            j, _ = _join_of_slot(choices[p >> 2], p & 3)
+            j, _ = _JOIN_OF_SLOT[choices[p >> 2]][p & 3]
             joins.append(2 * (p >> 2) + j)
         want_ccw = depths[idx] % 2 == 0
         if trace_ccw[idx] != want_ccw:

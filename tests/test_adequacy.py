@@ -28,7 +28,7 @@ from kauffman.adequacy import (
     vanishing_checks,
 )
 from kauffman.corpus import bundled
-from kauffman.diagram import LinkDiagram, mirror
+from kauffman.diagram import LinkDiagram, cable, mirror
 from kauffman.jones import unreduced
 from kauffman.laurent import LaurentPoly
 from kauffman.states import KauffmanState, ribbon_graph
@@ -52,6 +52,10 @@ class TestAdequacyFlags:
         d = corpus_diagrams["trefoil-left"]
         assert state_graph(d, "A") == ribbon_graph(d, KauffmanState.all_A(3))
         assert state_graph(d, "B") == ribbon_graph(d, KauffmanState.all_B(3))
+
+    def test_width_one_cable_shares_the_state_graphs(self, corpus_diagrams):
+        for d in corpus_diagrams.values():
+            assert state_graph(cable(d, 1), "A") is state_graph(d, "A")
 
     def test_state_graph_bad_side(self, corpus_diagrams):
         with pytest.raises(ValueError, match="side must be 'A' or 'B'"):

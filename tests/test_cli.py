@@ -132,6 +132,52 @@ class TestOptionRegistration:
         assert "A-adequate: True" in out
 
 
+class TestParserReuse:
+    """``main`` shares one parser across calls, so nothing of one call's
+    options or usage errors may reach the next."""
+
+    TREFOIL = (0, "A^7 - A^3 - A^-5\n", "")
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    @pytest.mark.parametrize("bad", [
+        ["bracket", "--workers", "2", KINK_POS],
+        ["cjones", KINK_POS],
+    ])
+    def test_valid_calls_after_a_usage_error(self, capsys, bad):
+        with pytest.raises(SystemExit) as info:
+            cli.main(bad)
+        assert info.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "bracket", LH_TREFOIL) == self.TREFOIL
+        assert run(capsys, "cjones", "--n", "1", LH_TREFOIL) == (
+            0, "q^-1 + q^-3 - q^-4\n", ""
+        )
+
+    def test_options_do_not_carry_over(self, capsys):
+        rc, out, _ = run(
+            capsys, "bracket", "--json", "--engine", "statesum", "--cap",
+            "20", LH_TREFOIL,
+        )
+        assert rc == 0
+        assert json.loads(out)["engine"] == "statesum"
+        args = cli._build_parser().parse_args(["bracket", LH_TREFOIL])
+        assert (args.json, args.engine, args.cap) == (False, "fast", None)
+        assert run(capsys, "bracket", LH_TREFOIL) == self.TREFOIL
+
+    def test_a_cap_does_not_carry_over(self, capsys):
+        for engine, cap in (("statesum", "2"), ("fast", "1")):
+            rc, _, err = run(
+                capsys, "bracket", "--engine", engine, "--cap", cap,
+                LH_TREFOIL,
+            )
+            assert rc == 3
+            assert "resource cap exceeded" in err
+            rerun = run(capsys, "bracket", "--engine", engine, LH_TREFOIL)
+            assert rerun == self.TREFOIL
+
+
 class TestCjonesCommand:
     def test_reduced_text(self, capsys):
         rc, out, _ = run(capsys, "cjones", "--n", "1", LH_TREFOIL)

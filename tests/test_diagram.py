@@ -172,8 +172,10 @@ class TestMirror:
 
 class TestCable:
     def test_width_one_is_identity(self, corpus_diagrams):
-        for d in corpus_diagrams.values():
+        crossingless = [LinkDiagram.crossingless(2), LinkDiagram.empty()]
+        for d in [*corpus_diagrams.values(), *crossingless]:
             assert cable(d, 1) == d
+            assert cable(d, 1) is d
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_crossing_and_writhe_scaling(self, corpus_diagrams, n):
