@@ -7,9 +7,24 @@ the quadratic ceilings that the writhe-corrected cable evaluations can
 reach, the exact top coefficients of cable brackets, and the derived
 detector invariants.  Equality of actual degree and ceiling at any
 width at least two happens precisely for A-adequate diagrams, so the
-numbers and the combinatorics check each other; :func:`analyze` runs
-the whole battery and refuses to return a report in which they
-disagree.
+numbers and the combinatorics check each other.
+
+:func:`analyze` is the one entry point of the battery.  It reads the
+cable top coefficients once and each width's unreduced value once,
+derives every report field from them, and raises
+:class:`InvariantViolation` instead of returning a report whose sides
+disagree.  Its checks, in the order they run:
+
+* ``mirror-adequacy``: the all-B loop test equals the all-A loop test
+  of the mirror;
+* ``bracket-degree-window``: the bracket lies inside the exponent
+  window of the two extreme state graphs;
+* ``cable-degree-ceiling``: no width's unreduced value exceeds its
+  quadratic ceiling;
+* ``adequacy-consistency``: the loop test, degree equality at every
+  width from 2 and a surviving cable top coefficient all agree;
+* ``deep-vanishing``: when loops leave the own top coefficient
+  nonzero, the next-below cable coefficients vanish from width 3.
 
 Width feasibility is a resource policy, not mathematics: a width-n
 cable of a c-crossing diagram has c*n**2 crossings, so default widths
@@ -33,9 +48,7 @@ from .states import KauffmanState, RibbonGraph, ribbon_graph
 __all__ = [
     "AdequacyReport",
     "InvariantViolation",
-    "VanishingChecks",
     "analyze",
-    "beta_prefix",
     "cable_top_coeffs",
     "degree_ceilings",
     "feasible_width",
@@ -43,8 +56,6 @@ __all__ = [
     "is_a_adequate",
     "is_b_adequate",
     "state_graph",
-    "t_invariant",
-    "vanishing_checks",
 ]
 
 
@@ -159,105 +170,6 @@ def cable_top_coeffs(
 
 
 @dataclass(frozen=True)
-class VanishingChecks:
-    """Exact cable top coefficients with their vanishing verdicts.
-
-    ``top`` maps widths (from 2) to the coefficient at the max bound,
-    ``next_below`` maps widths (from 3) to the coefficient four below
-    it.  ``matches_loops`` records that vanishing of every top
-    coefficient coincides with the all-A graph having a loop.
-    ``deep_vanishing`` is only populated for the interesting corner:
-    diagrams whose own top coefficient is nonzero yet fail A-adequacy;
-    for those, the next-below cable coefficients must vanish too.
-    """
-
-    top: dict[int, int]
-    next_below: dict[int, int]
-    all_top_vanish: bool
-    matches_loops: bool
-    deep_vanishing: bool | None
-
-
-def vanishing_checks(
-    diagram: LinkDiagram,
-    n_max: int | None = None,
-    *,
-    engine: str = "fast",
-    **limits,
-) -> VanishingChecks:
-    """Run the top-coefficient vanishing battery up to ``n_max``."""
-    if n_max is None:
-        n_max = feasible_width(diagram)
-    if n_max < 2:
-        raise ValueError("vanishing checks need width at least 2")
-    tops, nexts = cable_top_coeffs(diagram, n_max, engine=engine, **limits)
-    top = {m: tops[m] for m in range(2, n_max + 1)}
-    next_below = {m: nexts[m] for m in range(3, n_max + 1)}
-    all_vanish = all(v == 0 for v in top.values())
-    adequate = is_a_adequate(diagram)
-    matches = all_vanish == (not adequate)
-    if not matches:
-        raise InvariantViolation(
-            "cable-top-vanishing",
-            f"top coefficients {top} inconsistent with "
-            f"A-adequate={adequate}",
-        )
-    deep = None
-    if not adequate and tops[1] != 0:
-        deep = all(v == 0 for v in next_below.values())
-        if next_below and not deep:
-            raise InvariantViolation(
-                "deep-vanishing",
-                f"nonzero own top coefficient with loops, yet "
-                f"next-below coefficients {next_below} survive cabling",
-            )
-    return VanishingChecks(
-        top=top,
-        next_below=next_below,
-        all_top_vanish=all_vanish,
-        matches_loops=matches,
-        deep_vanishing=deep,
-    )
-
-
-def t_invariant(
-    diagram: LinkDiagram, n: int = 3, *, engine: str = "fast", **limits
-) -> tuple[int, int, LaurentPoly]:
-    """Detector pair and its linear polynomial, from width ``n > 2``.
-
-    ``alpha`` is the absolute product of the diagram's own top
-    coefficient with the width-n cable's, ``beta`` the same with the
-    cable coefficient four below the bound; the polynomial is
-    ``alpha + beta*q``.  Zero exactly when no top data survives
-    cabling.
-    """
-    if n <= 2:
-        raise ValueError("the detector pair needs width greater than 2")
-    tops, nexts = cable_top_coeffs(diagram, n, engine=engine, **limits)
-    alpha = abs(tops[1] * tops[n])
-    beta = abs(tops[1] * nexts[n])
-    return alpha, beta, LaurentPoly({0: alpha, 1: beta})
-
-
-def beta_prefix(
-    diagram: LinkDiagram, k: int, *, engine: str = "fast", **limits
-) -> tuple[int, ...]:
-    """First ``k`` stable-tail coefficients.
-
-    Entry ``i`` (1-based) is the coefficient of the exponent
-    ``ceiling(i+1) - 4*(i-1)`` in the corrected width-``i+1``
-    evaluation.  The first entry vanishes exactly for diagrams that
-    are not A-adequate and is ``+-1`` for A-adequate ones.
-    """
-    out = []
-    for i in range(1, k + 1):
-        width = i + 1
-        g = unreduced(diagram, width, engine=engine, **limits)
-        out.append(g.coeff(h_ceiling(diagram, width) - 4 * (i - 1)))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class AdequacyReport:
     """Everything the battery computed for one diagram.
 
@@ -350,8 +262,9 @@ def analyze(
 ) -> AdequacyReport:
     """Run the full battery and cross-check every redundant pair.
 
-    Raises :class:`InvariantViolation` rather than returning a report
-    whose combinatorial and numerical sides disagree.
+    Raises :class:`InvariantViolation`, naming the failed check (see
+    the module docstring), rather than return a report whose sides
+    disagree.
     """
     if diagram.is_empty:
         return _empty_report(name)
@@ -376,7 +289,7 @@ def analyze(
     if n_max >= 3 and diagram.crossing_count * (n_max + 1) ** 2 <= 64:
         top_width = n_max + 1
 
-    window = bracket(cable(diagram, 1), engine=engine, **limits)
+    window = bracket(diagram, engine=engine, **limits)
     if not (lo <= window.min_degree() and window.max_degree() <= hi):
         raise InvariantViolation(
             "bracket-degree-window",
@@ -389,10 +302,11 @@ def analyze(
     )
 
     ceilings: dict[int, int] = {}
+    values: dict[int, LaurentPoly] = {}
     actual: dict[int, int | None] = {}
     for n in range(1, n_max + 1):
         ceilings[n] = h_ceiling(diagram, n)
-        g = unreduced(diagram, n, engine=engine, **limits)
+        values[n] = g = unreduced(diagram, n, engine=engine, **limits)
         actual[n] = None if not len(g) else g.max_degree()
         if actual[n] is not None and actual[n] > ceilings[n]:
             raise InvariantViolation(
@@ -411,8 +325,16 @@ def analyze(
                 f"loop test {a_ok}, degree equalities {equalities}, "
                 f"surviving top coefficients {some_top} must agree",
             )
-        vc = vanishing_checks(diagram, n_max, engine=engine, **limits)
-        if vc.deep_vanishing is not None:
+        # loops protect the own top coefficient; cabling must still
+        # kill the next one down from width 3 on
+        if not a_ok and tops[1] != 0:
+            next_below = {m: nexts[m] for m in range(3, n_max + 1)}
+            if any(next_below.values()):
+                raise InvariantViolation(
+                    "deep-vanishing",
+                    f"nonzero own top coefficient with loops, yet "
+                    f"next-below coefficients {next_below} survive cabling",
+                )
             notes.append(
                 "own top coefficient survives despite loops; "
                 "next-below cable coefficients checked to vanish"
@@ -426,9 +348,8 @@ def analyze(
     t_poly = None
     if n_max > 2:
         t_width = 3
-        alpha, beta, t_poly = t_invariant(
-            diagram, 3, engine=engine, **limits
-        )
+        alpha, beta = alpha_beta[3]
+        t_poly = LaurentPoly({0: alpha, 1: beta})
         notes.append(
             "detector computed from this diagram; "
             "diagram-independence is not certified here"
@@ -460,14 +381,16 @@ def analyze(
     else:
         stability = "not exercised (single feasible width above 2)"
 
+    # series_max + 1 <= n_max, so every width read below is stored
     series_max = max(0, min(series, n_max - 1))
     if series_max < series:
         notes.append(
             f"stable-tail series truncated to {series_max} "
             f"coefficients by the width budget"
         )
-    beta_series = beta_prefix(
-        diagram, series_max, engine=engine, **limits
+    beta_series = tuple(
+        values[i + 1].coeff(ceilings[i + 1] - 4 * (i - 1))
+        for i in range(1, series_max + 1)
     )
 
     return AdequacyReport(

@@ -63,13 +63,18 @@ def _limits(engine: str, cap: int | None) -> dict:
     return {"cap": cap}
 
 
+def _every_engine(diagram: LinkDiagram, cap: int | None) -> dict:
+    """The diagram's bracket from each engine, keyed by engine name."""
+    return {
+        name: bracket(diagram, engine=name, **_limits(name, cap))
+        for name in sorted(BRACKET_ENGINES)
+    }
+
+
 def _cmd_bracket(args) -> int:
     diagram = parse_pd(_load_pd(args.pd))
     if args.selftest:
-        values = {
-            name: bracket(diagram, engine=name, **_limits(name, args.cap))
-            for name in sorted(BRACKET_ENGINES)
-        }
+        values = _every_engine(diagram, args.cap)
         agree = len(set(values.values())) == 1
         if args.json:
             print(_dumps({
@@ -224,12 +229,7 @@ def _verify_entry(payload) -> dict:
     done("parse")
 
     try:
-        values = {
-            engine: bracket(
-                diagram, engine=engine, **_limits(engine, cap)
-            )
-            for engine in sorted(BRACKET_ENGINES)
-        }
+        values = _every_engine(diagram, cap)
         if len(set(values.values())) != 1:
             return fail(
                 "engine-agreement",
@@ -240,13 +240,7 @@ def _verify_entry(payload) -> dict:
         value = values["fast"]
 
         if not diagram.is_empty and diagram.crossing_count <= 3:
-            two = cable(diagram, 2)
-            cabled = {
-                engine: bracket(
-                    two, engine=engine, **_limits(engine, cap)
-                )
-                for engine in sorted(BRACKET_ENGINES)
-            }
+            cabled = _every_engine(cable(diagram, 2), cap)
             if len(set(cabled.values())) != 1:
                 return fail(
                     "engine-agreement",

@@ -60,10 +60,6 @@ class LaurentPoly:
     def const(cls, value: int) -> "LaurentPoly":
         return cls({0: value})
 
-    @classmethod
-    def monomial(cls, coefficient: int, exponent: int) -> "LaurentPoly":
-        return cls({exponent: coefficient})
-
     # -- queries ---------------------------------------------------------
 
     def is_zero(self) -> bool:

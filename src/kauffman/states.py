@@ -54,18 +54,6 @@ class KauffmanState:
     def all_B(cls, crossing_count: int) -> "KauffmanState":
         return cls(("B",) * crossing_count)
 
-    @property
-    def b_count(self) -> int:
-        return sum(1 for ch in self.choices if ch == "B")
-
-    @property
-    def b_mask(self) -> int:
-        mask = 0
-        for i, ch in enumerate(self.choices):
-            if ch == "B":
-                mask |= 1 << i
-        return mask
-
 
 # (join index, position within the join's port pair) of each slot,
 # per resolution choice.
@@ -84,16 +72,13 @@ class StateResolution:
 
     ``circles`` lists each circle as the ports ``4*ci + si`` it passes
     through, in trace order normalized so that consecutive ports 2i,
-    2i+1 are joined at a crossing.  ``circle_of_join`` maps flat join
-    index 2*ci + j to the circle through that join.  ``depths`` counts
-    the circles strictly enclosing each circle.  ``chord_orders`` gives,
+    2i+1 are joined at a crossing.  ``depths`` counts the circles
+    strictly enclosing each circle.  ``chord_orders`` gives,
     per circle, the flat join indices in the circle's effective rotation
     order (counterclockwise for even depth, clockwise for odd).
     """
 
-    state: KauffmanState
     circles: tuple[tuple[int, ...], ...]
-    circle_of_join: tuple[int, ...]
     depths: tuple[int, ...]
     chord_orders: tuple[tuple[int, ...], ...]
 
@@ -110,9 +95,7 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
     if n == 0:
         loops = diagram.free_loops
         return StateResolution(
-            state=state,
             circles=((),) * loops,
-            circle_of_join=(),
             depths=(0,) * loops,
             chord_orders=((),) * loops,
         )
@@ -244,9 +227,7 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
         chord_orders.append(tuple(joins))
 
     return StateResolution(
-        state=state,
         circles=tuple(circles),
-        circle_of_join=tuple(circle_of_join),
         depths=tuple(depths),
         chord_orders=tuple(chord_orders),
     )
@@ -300,9 +281,6 @@ class RibbonGraph:
     @property
     def edge_count(self) -> int:
         return len(self._vertex_of) // 2
-
-    def edge_endpoints(self, edge: int) -> tuple[int, int]:
-        return self._vertex_of[2 * edge], self._vertex_of[2 * edge + 1]
 
     def is_loop(self, edge: int) -> bool:
         return self._vertex_of[2 * edge] == self._vertex_of[2 * edge + 1]

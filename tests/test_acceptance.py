@@ -15,7 +15,7 @@ import time
 import pytest
 
 from kauffman.adequacy import (
-    beta_prefix,
+    analyze,
     cable_top_coeffs,
     degree_ceilings,
     feasible_width,
@@ -198,8 +198,11 @@ def test_mirror_dualities(corpus):
 
 def test_first_tail_coefficient_dichotomy(cable_data):
     for name, data in cable_data.items():
-        first = beta_prefix(data["diagram"], 1)[0]
-        if is_a_adequate(data["diagram"]):
+        # the first stable-tail coefficient sits at the width-2 ceiling
+        d = data["diagram"]
+        first = unreduced(d, 2).coeff(h_ceiling(d, 2))
+        assert analyze(d, n_max=2).beta_series == (first,), name
+        if is_a_adequate(d):
             assert first in (-1, 1), name
         else:
             assert first == 0, name

@@ -12,11 +12,11 @@ import json
 
 import pytest
 
+from kauffman import adequacy
 from kauffman.adequacy import (
     AdequacyReport,
     InvariantViolation,
     analyze,
-    beta_prefix,
     cable_top_coeffs,
     degree_ceilings,
     feasible_width,
@@ -24,8 +24,6 @@ from kauffman.adequacy import (
     is_a_adequate,
     is_b_adequate,
     state_graph,
-    t_invariant,
-    vanishing_checks,
 )
 from kauffman.corpus import bundled
 from kauffman.diagram import LinkDiagram, cable, mirror
@@ -124,31 +122,27 @@ class TestCableTopCoeffs:
         assert nexts == {1: -1, 2: 1, 3: -1}
 
 
+SURVIVES = "own top coefficient survives despite loops"
+
+
 class TestVanishingChecks:
     def test_loopy_unknot_deep_vanishing(self, corpus_diagrams):
-        vc = vanishing_checks(corpus_diagrams["loopy-unknot"], 3)
-        assert vc.top == {2: 0, 3: 0}
-        assert vc.next_below == {3: 0}
-        assert vc.all_top_vanish
-        assert vc.matches_loops
-        assert vc.deep_vanishing is True
+        r = analyze(corpus_diagrams["loopy-unknot"], n_max=3)
+        assert {m: r.cable_top[m] for m in (2, 3)} == {2: 0, 3: 0}
+        assert r.cable_next[3] == 0
+        assert any(SURVIVES in note for note in r.notes)
 
     def test_adequate_diagram_has_no_deep_case(self, corpus_diagrams):
-        vc = vanishing_checks(corpus_diagrams["trefoil-left"], 3)
-        assert not vc.all_top_vanish
-        assert vc.matches_loops
-        assert vc.deep_vanishing is None
+        r = analyze(corpus_diagrams["trefoil-left"], n_max=3)
+        assert all(r.cable_top[m] != 0 for m in (2, 3))
+        assert not any(SURVIVES in note for note in r.notes)
 
     def test_plain_inadequate_diagram(self, corpus_diagrams):
         # kink-negative loses its top coefficient already at width 1,
         # so the deep branch never engages
-        vc = vanishing_checks(corpus_diagrams["kink-negative"], 2)
-        assert vc.all_top_vanish
-        assert vc.deep_vanishing is None
-
-    def test_width_below_two_rejected(self, corpus_diagrams):
-        with pytest.raises(ValueError, match="width at least 2"):
-            vanishing_checks(corpus_diagrams["trefoil-left"], 1)
+        r = analyze(corpus_diagrams["kink-negative"], n_max=2)
+        assert r.cable_top == {1: 0, 2: 0}
+        assert not any(SURVIVES in note for note in r.notes)
 
 
 class TestDegreeEquality:
@@ -171,41 +165,123 @@ class TestDegreeEquality:
 
 class TestTInvariant:
     def test_left_trefoil(self, corpus_diagrams):
-        alpha, beta, poly = t_invariant(corpus_diagrams["trefoil-left"], 3)
-        assert (alpha, beta) == (1, 1)
-        assert poly == LaurentPoly({0: 1, 1: 1})
+        r = analyze(corpus_diagrams["trefoil-left"], n_max=3)
+        assert (r.t_width, r.alpha_beta[3]) == (3, (1, 1))
+        assert r.t_poly == LaurentPoly({0: 1, 1: 1})
 
     def test_positive_kink(self, corpus_diagrams):
-        alpha, beta, poly = t_invariant(corpus_diagrams["kink-positive"], 3)
-        assert (alpha, beta) == (1, 0)
-        assert poly == LaurentPoly.one()
+        r = analyze(corpus_diagrams["kink-positive"], n_max=3)
+        assert r.alpha_beta[3] == (1, 0)
+        assert r.t_poly == LaurentPoly.one()
 
     def test_loopy_unknot_vanishes(self, corpus_diagrams):
-        alpha, beta, poly = t_invariant(corpus_diagrams["loopy-unknot"], 3)
-        assert (alpha, beta) == (0, 0)
-        assert poly == LaurentPoly.zero()
-
-    @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_low_widths_rejected(self, corpus_diagrams, n):
-        with pytest.raises(ValueError, match="width greater than 2"):
-            t_invariant(corpus_diagrams["trefoil-left"], n)
+        r = analyze(corpus_diagrams["loopy-unknot"], n_max=3)
+        assert r.alpha_beta[3] == (0, 0)
+        assert r.t_poly == LaurentPoly.zero()
 
 
 class TestBetaPrefix:
     def test_frozen_values(self, corpus_diagrams):
-        assert beta_prefix(corpus_diagrams["trefoil-left"], 2) == (1, 1)
-        assert beta_prefix(corpus_diagrams["loopy-unknot"], 2) == (0, 0)
-        assert beta_prefix(corpus_diagrams["kink-positive"], 2) == (1, 0)
+        def series(name):
+            return analyze(corpus_diagrams[name], n_max=3, series=2).beta_series
+
+        assert series("trefoil-left") == (1, 1)
+        assert series("loopy-unknot") == (0, 0)
+        assert series("kink-positive") == (1, 0)
 
     def test_first_entry_detects_adequacy(self, corpus_diagrams):
         for name, d in corpus_diagrams.items():
             if d.is_empty:
                 continue
-            first = beta_prefix(d, 1)[0]
+            first = analyze(d, n_max=2).beta_series[0]
             if is_a_adequate(d):
                 assert first in (-1, 1), name
             else:
                 assert first == 0, name
+
+
+class TestDerivedFields:
+    """Each field that ``analyze`` derives from the cable data, checked
+    against its definition on every corpus and small-pool diagram."""
+
+    @pytest.mark.parametrize("n_max", [3, 4])
+    def test_fields_match_their_definitions(
+        self, corpus_diagrams, small_diagrams, n_max
+    ):
+        diagrams = [d for d in corpus_diagrams.values() if not d.is_empty]
+        for d in diagrams + list(small_diagrams):
+            tops, nexts = cable_top_coeffs(d, n_max)
+            alpha, beta = abs(tops[1] * tops[3]), abs(tops[1] * nexts[3])
+            deep = not is_a_adequate(d) and tops[1] != 0
+            for series in range(1, n_max):
+                r = analyze(d, n_max=n_max, series=series)
+                assert r.t_poly == LaurentPoly({0: alpha, 1: beta}), d
+                assert r.beta_series == tuple(
+                    unreduced(d, i + 1).coeff(h_ceiling(d, i + 1) - 4 * (i - 1))
+                    for i in range(1, series + 1)
+                ), d
+                assert any(SURVIVES in note for note in r.notes) == deep, d
+
+    def test_reads_cable_data_once(self, corpus_diagrams, monkeypatch):
+        calls = []
+
+        def counting(real):
+            def wrapper(diagram, n, **kwargs):
+                calls.append((real.__name__, n))
+                return real(diagram, n, **kwargs)
+
+            return wrapper
+
+        for name in ("cable_top_coeffs", "unreduced"):
+            monkeypatch.setattr(
+                adequacy, name, counting(getattr(adequacy, name))
+            )
+        analyze(corpus_diagrams["trefoil-left"], n_max=3, series=2)
+        assert calls == [
+            ("cable_top_coeffs", 4),
+            ("unreduced", 1),
+            ("unreduced", 2),
+            ("unreduced", 3),
+        ]
+
+
+class TestNamedChecks:
+    """Corrupted cable data makes ``analyze`` raise the named check."""
+
+    def _raises(self, diagram, check):
+        with pytest.raises(InvariantViolation) as err:
+            analyze(diagram, n_max=3)
+        assert err.value.check == check
+
+    def test_adequacy_consistency(self, corpus_diagrams, monkeypatch):
+        real = cable_top_coeffs
+
+        def no_tops(diagram, n_max, **limits):
+            tops, nexts = real(diagram, n_max, **limits)
+            return {m: 0 for m in tops}, nexts
+
+        monkeypatch.setattr(adequacy, "cable_top_coeffs", no_tops)
+        self._raises(corpus_diagrams["trefoil-left"], "adequacy-consistency")
+
+    def test_deep_vanishing(self, corpus_diagrams, monkeypatch):
+        real = cable_top_coeffs
+
+        def surviving_next(diagram, n_max, **limits):
+            tops, nexts = real(diagram, n_max, **limits)
+            return tops, {**nexts, 3: 1}
+
+        monkeypatch.setattr(adequacy, "cable_top_coeffs", surviving_next)
+        self._raises(corpus_diagrams["loopy-unknot"], "deep-vanishing")
+
+    def test_cable_degree_ceiling(self, corpus_diagrams, monkeypatch):
+        real = unreduced
+
+        def over_ceiling(diagram, n, **limits):
+            above = LaurentPoly({h_ceiling(diagram, n) + 4: 1})
+            return real(diagram, n, **limits) + above
+
+        monkeypatch.setattr(adequacy, "unreduced", over_ceiling)
+        self._raises(corpus_diagrams["trefoil-left"], "cable-degree-ceiling")
 
 
 class TestAnalyzeReports:
