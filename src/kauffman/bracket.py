@@ -12,8 +12,8 @@ Engines:
   reference implementation.
 * ``bracket_subgraph``: sum over spanning subgraphs of the all-A state
   ribbon graph, using boundary-component counts.  Exercises completely
-  different machinery (nesting-aware rotations), so agreement with the
-  state sum is strong evidence for both.
+  different machinery (rotations oriented across the chords), so
+  agreement with the state sum is strong evidence for both.
 
   Both enumerate depth first (:func:`_loop_histogram`), splicing one
   crossing or edge at a time into a table of open-strand ends and

@@ -126,10 +126,6 @@ class LinkDiagram:
         return len(self.crossings)
 
     @property
-    def positive_count(self) -> int:
-        return sum(1 for x in self.crossings if x.sign > 0)
-
-    @property
     def negative_count(self) -> int:
         return sum(1 for x in self.crossings if x.sign < 0)
 

@@ -5,13 +5,15 @@ B way) leaves a disjoint union of circles in the plane; recording which
 pairs of circles each crossing used to touch gives a ribbon graph with
 one vertex per circle and one edge per crossing.
 
-The ribbon structure needs care with nesting.  Each circle's rotation
-is the cyclic order of its chord ends read counterclockwise in the
-plane, except that circles nested at odd depth are read clockwise: a
-chord reaching a circle from the inside attaches through a fold, and
-clearing the resulting twists flips exactly the odd-depth circles.
-Nesting depths are found from the face structure of the resolved
-diagram, which is itself validated by an Euler-characteristic count.
+A rotation at a circle is the cyclic order of its chord ends read along
+the circle: counterclockwise for circles at even depth below the region
+taken as outer, clockwise for odd depth, since a chord reaching a circle
+from the inside attaches through a fold and clearing the twists flips
+exactly the odd-depth circles.  That puts the odd side of the circles'
+checkerboard colouring on the left of every circle.  Both ends of a
+chord lie in one region, so each chord fixes the orientation of the
+circle at one end from the circle at the other, and one walk over the
+chords orients them all.
 """
 
 from __future__ import annotations
@@ -55,12 +57,10 @@ class KauffmanState:
         return cls(("B",) * crossing_count)
 
 
-# (join index, position within the join's port pair) of each slot,
-# per resolution choice.
+# Join index of each slot, per resolution choice.
 _JOIN_OF_SLOT = {
     choice: tuple(
-        next((j, pair.index(si)) for j, pair in enumerate(joins) if si in pair)
-        for si in range(4)
+        next(j for j, pair in enumerate(joins) if si in pair) for si in range(4)
     )
     for choice, joins in (("A", A_JOINS), ("B", B_JOINS))
 }
@@ -68,18 +68,17 @@ _JOIN_OF_SLOT = {
 
 @dataclass(frozen=True)
 class StateResolution:
-    """The circles of a resolved diagram plus their planar nesting data.
+    """The circles of a resolved diagram and their chord orders.
 
     ``circles`` lists each circle as the ports ``4*ci + si`` it passes
     through, in trace order normalized so that consecutive ports 2i,
-    2i+1 are joined at a crossing.  ``depths`` counts the circles
-    strictly enclosing each circle.  ``chord_orders`` gives,
-    per circle, the flat join indices in the circle's effective rotation
-    order (counterclockwise for even depth, clockwise for odd).
+    2i+1 are joined at a crossing.  ``chord_orders`` gives, per circle,
+    the flat join indices ``2*ci + j`` in the order met along the
+    circle's ribbon orientation, the one that puts the odd side of the
+    checkerboard colouring of the circles on its left.
     """
 
     circles: tuple[tuple[int, ...], ...]
-    depths: tuple[int, ...]
     chord_orders: tuple[tuple[int, ...], ...]
 
     @property
@@ -88,148 +87,72 @@ class StateResolution:
 
 
 def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
-    """Resolve every crossing and work out circles and nesting."""
+    """Resolve every crossing and orient the circles across the chords."""
     n = diagram.crossing_count
     if len(state.choices) != n:
         raise ValueError("state length does not match crossing count")
     if n == 0:
         loops = diagram.free_loops
-        return StateResolution(
-            circles=((),) * loops,
-            depths=(0,) * loops,
-            chord_orders=((),) * loops,
-        )
+        return StateResolution(circles=((),) * loops, chord_orders=((),) * loops)
 
     partner = diagram.partner
     choices = state.choices
 
-    # Dart encoding for the resolved diagram seen as a planar map: every
-    # join is a trivalent vertex carrying its two ports and one chord
-    # end, darts 6*ci + 3*j + k with k = 0, 1 the ports in join order
-    # and k = 2 the chord end.
-    dart_of_port = [0] * (4 * n)
-    port_of_dart = [-1] * (6 * n)
-    for p in range(4 * n):
-        j, k = _JOIN_OF_SLOT[choices[p >> 2]][p & 3]
-        d = 6 * (p >> 2) + 3 * j + k
-        dart_of_port[p] = d
-        port_of_dart[d] = p
-
-    def alpha(d: int) -> int:
-        if d % 3 == 2:
-            return d + 3 if d % 6 == 2 else d - 3
-        return dart_of_port[partner[port_of_dart[d]]]
-
-    def sigma(d: int) -> int:
-        return d - d % 3 + (d % 3 + 1) % 3
-
-    total_darts = 6 * n
-    face_of = [-1] * total_darts
-    face_id = 0
-    for d0 in range(total_darts):
-        if face_of[d0] != -1:
-            continue
-        d = d0
-        while face_of[d] == -1:
-            face_of[d] = face_id
-            d = sigma(alpha(d))
-        face_id += 1
-    if face_id != n + 2:
-        raise AssertionError(
-            f"resolved diagram has {face_id} faces, expected {n + 2}"
-        )
-
     # Trace circles through alternating join and arc hops, starting each
     # circle with a join hop.  Within a crossing the A join pairs port p
-    # with p ^ 1 and the B join pairs p with p ^ 3.
+    # with p ^ 1 and the B join pairs p with p ^ 3.  A join traced from
+    # slot s to slot s + 1 (mod 4) has its crossing, and so its chord,
+    # on the left.
     seen = [False] * (4 * n)
     circles: list[tuple[int, ...]] = []
+    orders: list[list[int]] = []
+    circle_of_join = [0] * (2 * n)
+    chord_on_left = [False] * (2 * n)
     for start in range(4 * n):
         if seen[start]:
             continue
         ports: list[int] = []
+        joins: list[int] = []
         port = start
         while True:
-            hop = port ^ (1 if choices[port >> 2] == "A" else 3)
+            choice = choices[port >> 2]
+            hop = port ^ (1 if choice == "A" else 3)
             ports += (port, hop)
             seen[port] = seen[hop] = True
+            flat = 2 * (port >> 2) + _JOIN_OF_SLOT[choice][port & 3]
+            joins.append(flat)
+            circle_of_join[flat] = len(circles)
+            chord_on_left[flat] = (hop - port) & 3 == 1
             port = partner[hop]
             if port == start:
                 break
         circles.append(tuple(ports))
+        orders.append(joins)
 
-    circle_of_port = [0] * (4 * n)
-    circle_of_join = [-1] * (2 * n)
-    for idx, ports in enumerate(circles):
-        for p in ports:
-            circle_of_port[p] = idx
-            j, _ = _JOIN_OF_SLOT[choices[p >> 2]][p & 3]
-            flat = 2 * (p >> 2) + j
-            if circle_of_join[flat] not in (-1, idx):
-                raise AssertionError("join spans two circles")
-            circle_of_join[flat] = idx
-
-    # Enclosure masks: breadth-first search over face adjacency from a
-    # canonical outer face.  Crossing an arc edge of circle C toggles
-    # C's bit; crossing a chord edge toggles nothing.  On the sphere the
-    # outer-face choice shifts all masks consistently and no derived
-    # quantity depends on it.
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(face_id)]
-    for d in range(total_darts):
-        ad = alpha(d)
-        if d > ad:
-            continue
-        f1, f2 = face_of[d], face_of[ad]
-        if d % 3 == 2:
-            toggle = 0
-        else:
-            toggle = 1 << circle_of_port[port_of_dart[d]]
-        adjacency[f1].append((f2, toggle))
-        adjacency[f2].append((f1, toggle))
-    masks = [-1] * face_id
-    outer = face_of[0]
-    masks[outer] = 0
-    queue = [outer]
-    while queue:
-        f = queue.pop()
-        for f2, toggle in adjacency[f]:
-            m = masks[f] ^ toggle
-            if masks[f2] == -1:
-                masks[f2] = m
-                queue.append(f2)
-            elif masks[f2] != m:
-                raise AssertionError("inconsistent enclosure masks")
-    if any(m == -1 for m in masks):
-        raise AssertionError("face adjacency is disconnected")
-
-    depths: list[int] = []
-    trace_ccw: list[bool] = []
-    for idx, ports in enumerate(circles):
-        bit = 1 << idx
-        d = dart_of_port[ports[0]]
-        m_right = masks[face_of[d]]
-        m_left = masks[face_of[alpha(d)]]
-        if (m_left ^ m_right) != bit:
-            raise AssertionError("arc edge does not separate its circle")
-        outside = m_left if not m_left & bit else m_right
-        depths.append(bin(outside).count("1"))
-        trace_ccw.append(bool(m_left & bit))
-
-    chord_orders: list[tuple[int, ...]] = []
-    for idx, ports in enumerate(circles):
-        joins: list[int] = []
-        for p in ports[::2]:
-            j, _ = _JOIN_OF_SLOT[choices[p >> 2]][p & 3]
-            joins.append(2 * (p >> 2) + j)
-        want_ccw = depths[idx] % 2 == 0
-        if trace_ccw[idx] != want_ccw:
-            joins.reverse()
-        chord_orders.append(tuple(joins))
+    # A chord lies in one region of the circles, so the circles at its
+    # two ends see it on the same side of their ribbon orientation: one
+    # end's orientation fixes the other's.  The circle through port 0
+    # is anchored with crossing 0's chord on its left.
+    reverse: list[bool | None] = [None] * len(circles)
+    reverse[0] = not chord_on_left[0]
+    stack = [0]
+    while stack:
+        c = stack.pop()
+        for flat in orders[c]:
+            other = circle_of_join[flat ^ 1]
+            want = reverse[c] ^ chord_on_left[flat] ^ chord_on_left[flat ^ 1]
+            if reverse[other] is None:
+                reverse[other] = want
+                stack.append(other)
+            elif reverse[other] != want:
+                raise AssertionError("chords disagree on a circle's orientation")
 
     return StateResolution(
         circles=tuple(circles),
-        depths=tuple(depths),
-        chord_orders=tuple(chord_orders),
+        chord_orders=tuple(
+            tuple(joins[::-1] if rev else joins)
+            for joins, rev in zip(orders, reverse)
+        ),
     )
 
 
@@ -369,10 +292,6 @@ def ribbon_graph(
 ) -> RibbonGraph:
     """The state's ribbon graph: one vertex per circle, one edge per
     crossing, edge i joining the circles at crossing i's two joins."""
-    res = resolve(diagram, state)
-    if diagram.crossing_count == 0:
-        return RibbonGraph(((),) * diagram.free_loops)
     # Ribbon dart ids: crossing ci's chord owns darts 2ci (at join 0)
     # and 2ci + 1 (at join 1); flat join index 2ci + j is the dart id.
-    rotations = tuple(res.chord_orders)
-    return RibbonGraph(rotations)
+    return RibbonGraph(resolve(diagram, state).chord_orders)

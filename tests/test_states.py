@@ -10,6 +10,7 @@ union-find vs rotation-system face tracing), so agreement over all
 
 import pytest
 
+from kauffman.diagram import cable
 from kauffman.states import (
     KauffmanState,
     RibbonGraph,
@@ -105,26 +106,26 @@ class TestResolution:
         for s in _all_states(3):
             r = resolve(d, s)
             assert r.circle_count == oracle_circles(d, s.choices)
-            assert len(r.depths) == r.circle_count
             assert len(r.chord_orders) == r.circle_count
 
+    # each state has a circle nested inside another
     @pytest.mark.parametrize(
-        "name, mask, depths",
+        "name, mask, orders",
         [
-            ("double-kink-positive", 0b01, (0, 1)),
-            ("trefoil-left", 0b001, (0, 1)),
-            ("figure-eight", 0b1100, (0, 0, 1)),
+            ("double-kink-positive", 0b01, ((2, 1, 0), (3,))),
+            ("trefoil-left", 0b001, ((3, 1, 4, 0), (5, 2))),
+            ("figure-eight", 0b1100, ((0, 6, 2, 4), (1, 3), (7, 5))),
         ],
     )
-    def test_frozen_depths(self, corpus_diagrams, name, mask, depths):
+    def test_frozen_depths(self, corpus_diagrams, name, mask, orders):
         d = corpus_diagrams[name]
         r = resolve(d, _from_b_mask(mask, d.crossing_count))
-        assert r.depths == depths
+        assert r.chord_orders == orders
 
     def test_positive_kink_is_never_nested(self, corpus_diagrams):
         d = corpus_diagrams["kink-positive"]
-        for s in _all_states(1):
-            assert resolve(d, s).depths == (0,) * circle_count(d, s)
+        assert resolve(d, KauffmanState.all_A(1)).chord_orders == ((0,), (1,))
+        assert resolve(d, KauffmanState.all_B(1)).chord_orders == ((1, 0),)
 
 
 class TestRibbonGraphBasics:
@@ -228,6 +229,12 @@ class TestDuality:
     def test_duality_on_small_pool(self, small_diagrams):
         for d in small_diagrams:
             self._check(d)
+
+    def test_duality_on_width_two_cables(self, corpus_diagrams):
+        # up to 12 crossings, with circles nested two deep
+        for d in corpus_diagrams.values():
+            if 0 < d.crossing_count <= 3:
+                self._check(cable(d, 2))
 
 
 class TestFaceCombinatorics:
