@@ -8,8 +8,11 @@ numbered consecutively along the orientation of each component.
 
 The sign convention follows from the slot geometry: a crossing is
 positive exactly when the overstrand enters at slot 3 and leaves at
-slot 1.  Orientations are recovered by tracing components, which also
-works for short components where "label plus one" alone is ambiguous.
+slot 1.  Validation traces each component once to recover its
+orientation, which also works for short components where "label plus
+one" alone is ambiguous, and reads every sign off that one trace.
+Cables are labelled in closed form from the components of the diagram
+they thicken, then validated like any other code.
 
 Validation rejects codes that do not describe a planar diagram: the
 counterclockwise slot order at every crossing makes the code a map on a
@@ -184,8 +187,7 @@ def from_slot_tuples(
     partner = _port_table(tuples, arc_count)
     _check_connected(partner)
     _check_planar(partner)
-    components, entry_slots = _trace_components(tuples, partner)
-    signs = _signs_from_entries(tuples, entry_slots)
+    components, signs = _trace_components(tuples, partner)
     crossings = tuple(
         Crossing(slots=tuple(t), sign=s) for t, s in zip(tuples, signs)
     )
@@ -198,23 +200,15 @@ def from_slot_tuples(
     )
 
 
-def _occurrences(
-    tuples: list[tuple[int, int, int, int]]
-) -> dict[int, list[int]]:
-    """Label -> the flat ports ``4*ci + si`` carrying it, in port order."""
-    occurrences: dict[int, list[int]] = {}
-    for ci, slots in enumerate(tuples):
-        for si, label in enumerate(slots):
-            occurrences.setdefault(label, []).append(4 * ci + si)
-    return occurrences
-
-
 def _port_table(
     tuples: list[tuple[int, int, int, int]], arc_count: int
 ) -> list[int]:
     """The flat partner table of :class:`LinkDiagram`, after checking
     that the labels are exactly ``1..arc_count``, each used twice."""
-    occurrences = _occurrences(tuples)
+    occurrences: dict[int, list[int]] = {}
+    for ci, slots in enumerate(tuples):
+        for si, label in enumerate(slots):
+            occurrences.setdefault(label, []).append(4 * ci + si)
     expected = set(range(1, arc_count + 1))
     if set(occurrences) != expected:
         missing = sorted(expected - set(occurrences))
@@ -264,12 +258,13 @@ def _passage_exit(port: int) -> int:
 
 def _trace_components(
     tuples: list[tuple[int, int, int, int]], partner: list[int]
-) -> tuple[tuple[tuple[int, ...], ...], dict[int, dict[str, int]]]:
-    """Trace link components and recover passage directions.
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Trace and orient the link components, reading off crossing signs.
 
     Returns the components (arc labels in orientation order, starting at
-    each component's smallest label) and, per crossing, the entry slots
-    of the under and over passages in the recovered orientation.
+    each component's smallest label) and each crossing's sign: +1 when
+    the chosen orientation enters its over passage at slot 3, -1 at
+    slot 1.
     """
     # each label's first port: the trace of a component starts there
     first_port: dict[int, int] = {}
@@ -277,7 +272,7 @@ def _trace_components(
         first_port[tuples[p >> 2][p & 3]] = p
     seen: set[int] = set()
     components: list[tuple[int, ...]] = []
-    consumed_port: dict[int, int] = {}
+    signs = [0] * len(tuples)
 
     for start in sorted(first_port):
         if start in seen:
@@ -304,18 +299,19 @@ def _trace_components(
         def succ(a: int) -> int:
             return lo if a == hi else a + 1
 
+        # Each reading maps an arc to the port where it enters a passage.
         size = len(arcs)
-        candidates: list[tuple[list[int], list[int]]] = []
+        readings: list[dict[int, int]] = []
         if all(arcs[(i + 1) % size] == succ(arcs[i]) for i in range(size)):
-            candidates.append((arcs, ports))
+            readings.append(dict(zip(arcs, ports)))
         if all(arcs[i] == succ(arcs[(i + 1) % size]) for i in range(size)):
-            # Reversed reading: arc[i+1] is really consumed where the
-            # trace emitted it, at the opposite slot of the passage.
-            candidates.append((
-                [arcs[(i + 1) % size] for i in range(size)][::-1],
-                [_passage_exit(ports[i]) for i in range(size)][::-1],
-            ))
-        if not candidates:
+            # Reversed reading: arc[i+1] really enters where the trace
+            # emitted it, at the opposite slot of the passage.
+            readings.append({
+                arcs[(i + 1) % size]: _passage_exit(p)
+                for i, p in enumerate(ports)
+            })
+        if not readings:
             raise InvalidDiagramError(
                 f"arc numbering is not consecutive along a component: {arcs}"
             )
@@ -323,56 +319,25 @@ def _trace_components(
         # two arcs both label readings are consecutive and only this
         # rule picks the orientation.
         valid = [
-            (al, pl)
-            for al, pl in candidates
-            if all(p & 3 == 0 for p in pl if p & 1 == 0)
+            r for r in readings
+            if all(p & 3 == 0 for p in r.values() if p & 1 == 0)
         ]
         if not valid:
             raise InvalidDiagramError(
                 f"component {labels}: an understrand would enter at slot 2, "
                 "which contradicts the slot convention"
             )
-        if len(valid) == 2:
-            # Both orientations are consistent, which happens only for a
-            # short component crossing nothing but overstrands.  Break
-            # the tie by the smallest port of the smallest arc.
-            valid.sort(key=lambda cand: cand[1][cand[0].index(lo)])
-        oriented_arcs, oriented_ports = valid[0]
+        # Both orientations are consistent only for a short component
+        # crossing nothing but overstrands.  Break the tie by the
+        # smallest port of the smallest arc.
+        entry = min(valid, key=lambda r: r[lo])
+        for p in entry.values():
+            if p & 1:
+                signs[p >> 2] = 1 if p & 3 == 3 else -1
         seen.update(arcs)
-        pivot = oriented_arcs.index(lo)
-        oriented_arcs = oriented_arcs[pivot:] + oriented_arcs[:pivot]
-        oriented_ports = oriented_ports[pivot:] + oriented_ports[:pivot]
-        components.append(tuple(oriented_arcs))
-        for a, p in zip(oriented_arcs, oriented_ports):
-            consumed_port[a] = p
-
-    entry_slots: dict[int, dict[str, int]] = {}
-    for arc, port in consumed_port.items():
-        ci, si = port >> 2, port & 3
-        kind = "under" if si in (0, 2) else "over"
-        record = entry_slots.setdefault(ci, {})
-        if kind in record:
-            raise InvalidDiagramError(
-                f"crossing {ci} has two {kind} entries; inconsistent code"
-            )
-        record[kind] = si
-    for ci, record in entry_slots.items():
-        if record.get("under") != 0:
-            raise InvalidDiagramError(
-                f"crossing {ci}: slot 0 is not the incoming understrand"
-            )
-    return tuple(components), entry_slots
-
-
-def _signs_from_entries(
-    tuples: list[tuple[int, int, int, int]],
-    entry_slots: dict[int, dict[str, int]],
-) -> list[int]:
-    signs: list[int] = []
-    for ci in range(len(tuples)):
-        over_in = entry_slots[ci]["over"]
-        signs.append(1 if over_in == 3 else -1)
-    return signs
+        # either reading is consecutive, so from lo the arcs run lo..hi
+        components.append(tuple(labels))
+    return tuple(components), signs
 
 
 def _check_planar(partner: list[int]) -> None:
@@ -437,9 +402,10 @@ def cable(diagram: LinkDiagram, n: int) -> LinkDiagram:
 
     Each crossing becomes an n-by-n grid of crossings of the same sign;
     parallel copies of an arc never interleave.  Arc labels of the result
-    are renumbered canonically, so the width-1 cable of valid input
-    equals the diagram: ``cable(d, 1)`` returns ``d`` itself, memo and
-    all.  A wider cable is built once per diagram object and width.
+    run along each copy of each component in turn, in the diagram's
+    component order, so the width-1 labels would be the diagram's own:
+    ``cable(d, 1)`` returns ``d`` itself, memo and all.  A wider cable is
+    built once per diagram object and width.
     """
     if n < 1:
         raise InvalidDiagramError("cable width must be at least 1")
@@ -452,107 +418,43 @@ def _build_cable(diagram: LinkDiagram, n: int) -> LinkDiagram:
     if not diagram.crossings:
         return LinkDiagram.crossingless(diagram.free_loops * n)
 
-    base_arcs = diagram.arc_count
+    # Copy k (from 0) of a component with first arc lo and L arcs passes
+    # n labels per base arc a: the copy of a, then the n - 1 arcs inside
+    # the grid at its head.  Copies follow one another, components in
+    # order, so step s after a is n*n*(lo-1) + k*n*L + (a-lo)*n + 1 + s.
+    first = [0] * (diagram.arc_count + 1)
+    stride = [0] * (diagram.arc_count + 1)
+    for comp in diagram.components:
+        lo = comp[0]
+        for a in comp:
+            first[a] = n * n * (lo - 1) + (a - lo) * n + 1
+            stride[a] = n * len(comp)
 
-    def copy_label(arc: int, i: int) -> int:
-        """Copy i (1-based, left to right along the arc) of a base arc."""
-        return (arc - 1) * n + i
+    def strand(arc_in: int, arc_out: int, k: int) -> list[int]:
+        """Copy k through the grid at the head of ``arc_in``."""
+        head = first[arc_in] + k * stride[arc_in]
+        return [*range(head, head + n), first[arc_out] + k * stride[arc_out]]
 
-    next_internal = base_arcs * n + 1
     raw: list[tuple[int, int, int, int]] = []
-    over_entry_slot: list[int] = []
-
     for x in diagram.crossings:
         a, b, c, d = x.slots
-        if x.sign > 0:
-            o_in, o_out = d, b
-        else:
-            o_in, o_out = b, d
-
-        under: list[list[int]] = []
-        for k in range(1, n + 1):
-            row = [copy_label(a, k)]
-            for _ in range(n - 1):
-                row.append(next_internal)
-                next_internal += 1
-            row.append(copy_label(c, k))
-            under.append(row)
-        over: list[list[int]] = []
-        for j in range(1, n + 1):
-            row = [copy_label(o_in, j)]
-            for _ in range(n - 1):
-                row.append(next_internal)
-                next_internal += 1
-            row.append(copy_label(o_out, j))
-            over.append(row)
-
-        for y in range(1, n + 1):
-            for k in range(1, n + 1):
+        o_in, o_out = (d, b) if x.sign > 0 else (b, d)
+        under = [strand(a, c, k) for k in range(n)]
+        over = [strand(o_in, o_out, j) for j in range(n)]
+        for y in range(n):
+            for k in range(n):
+                u = under[k]
                 if x.sign > 0:
-                    j = n + 1 - y
-                    slots = (
-                        under[k - 1][y - 1],
-                        over[j - 1][k],
-                        under[k - 1][y],
-                        over[j - 1][k - 1],
-                    )
+                    o = over[n - 1 - y]
+                    raw.append((u[y], o[k + 1], u[y + 1], o[k]))
                 else:
-                    j = y
-                    slots = (
-                        under[k - 1][y - 1],
-                        over[j - 1][n - k],
-                        under[k - 1][y],
-                        over[j - 1][n - k + 1],
-                    )
-                raw.append(slots)
-                over_entry_slot.append(3 if x.sign > 0 else 1)
+                    o = over[y]
+                    raw.append((u[y], o[n - 1 - k], u[y + 1], o[n - k]))
 
-    relabeled = _canonical_relabel(raw, over_entry_slot)
-    result = from_slot_tuples(relabeled)
+    result = from_slot_tuples(raw)
     expected_signs = [
         x.sign for x in diagram.crossings for _ in range(n * n)
     ]
     if [c_.sign for c_ in result.crossings] != expected_signs:
         raise AssertionError("cabling changed a crossing sign")
     return result
-
-
-def _canonical_relabel(
-    raw: list[tuple[int, int, int, int]], over_entry_slot: list[int]
-) -> list[tuple[int, int, int, int]]:
-    """Renumber arbitrary arc labels consecutively along each component.
-
-    Entry slots are known from construction, so components can be traced
-    without relying on label order.
-    """
-    consumed_of: dict[int, int] = {}
-    for label, occ in _occurrences(raw).items():
-        entries = [
-            p for p in occ if p & 3 in (0, over_entry_slot[p >> 2])
-        ]
-        if len(entries) != 1:
-            raise AssertionError(f"arc {label} has {len(entries)} entry ports")
-        consumed_of[label] = entries[0]
-
-    seen: set[int] = set()
-    new_label: dict[int, int] = {}
-    offset = 0
-    for start in sorted(consumed_of):
-        if start in seen:
-            continue
-        arc = start
-        cycle: list[int] = []
-        while True:
-            cycle.append(arc)
-            seen.add(arc)
-            exit_port = _passage_exit(consumed_of[arc])
-            arc = raw[exit_port >> 2][exit_port & 3]
-            if arc == start:
-                break
-        for step, label in enumerate(cycle):
-            new_label[label] = offset + 1 + step
-        offset += len(cycle)
-    return [
-        (new_label[s[0]], new_label[s[1]], new_label[s[2]], new_label[s[3]])
-        for s in raw
-    ]

@@ -68,22 +68,16 @@ _JOIN_OF_SLOT = {
 
 @dataclass(frozen=True)
 class StateResolution:
-    """The circles of a resolved diagram and their chord orders.
+    """The chord orders of the circles of a resolved diagram.
 
-    ``circles`` lists each circle as the ports ``4*ci + si`` it passes
-    through, in trace order normalized so that consecutive ports 2i,
-    2i+1 are joined at a crossing.  ``chord_orders`` gives, per circle,
-    the flat join indices ``2*ci + j`` in the order met along the
-    circle's ribbon orientation, the one that puts the odd side of the
-    checkerboard colouring of the circles on its left.
+    ``chord_orders`` has one entry per circle: the flat join indices
+    ``2*ci + j`` in the order met along the circle's ribbon orientation,
+    the one that puts the odd side of the checkerboard colouring of the
+    circles on its left.  Every join lies on exactly one circle, and a
+    crossingless loop is a circle with no joins.
     """
 
-    circles: tuple[tuple[int, ...], ...]
     chord_orders: tuple[tuple[int, ...], ...]
-
-    @property
-    def circle_count(self) -> int:
-        return len(self.circles)
 
 
 def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
@@ -93,7 +87,7 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
         raise ValueError("state length does not match crossing count")
     if n == 0:
         loops = diagram.free_loops
-        return StateResolution(circles=((),) * loops, chord_orders=((),) * loops)
+        return StateResolution(chord_orders=((),) * loops)
 
     partner = diagram.partner
     choices = state.choices
@@ -104,36 +98,32 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
     # slot s to slot s + 1 (mod 4) has its crossing, and so its chord,
     # on the left.
     seen = [False] * (4 * n)
-    circles: list[tuple[int, ...]] = []
     orders: list[list[int]] = []
     circle_of_join = [0] * (2 * n)
     chord_on_left = [False] * (2 * n)
     for start in range(4 * n):
         if seen[start]:
             continue
-        ports: list[int] = []
         joins: list[int] = []
         port = start
         while True:
             choice = choices[port >> 2]
             hop = port ^ (1 if choice == "A" else 3)
-            ports += (port, hop)
             seen[port] = seen[hop] = True
             flat = 2 * (port >> 2) + _JOIN_OF_SLOT[choice][port & 3]
             joins.append(flat)
-            circle_of_join[flat] = len(circles)
+            circle_of_join[flat] = len(orders)
             chord_on_left[flat] = (hop - port) & 3 == 1
             port = partner[hop]
             if port == start:
                 break
-        circles.append(tuple(ports))
         orders.append(joins)
 
     # A chord lies in one region of the circles, so the circles at its
     # two ends see it on the same side of their ribbon orientation: one
     # end's orientation fixes the other's.  The circle through port 0
     # is anchored with crossing 0's chord on its left.
-    reverse: list[bool | None] = [None] * len(circles)
+    reverse: list[bool | None] = [None] * len(orders)
     reverse[0] = not chord_on_left[0]
     stack = [0]
     while stack:
@@ -148,7 +138,6 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
                 raise AssertionError("chords disagree on a circle's orientation")
 
     return StateResolution(
-        circles=tuple(circles),
         chord_orders=tuple(
             tuple(joins[::-1] if rev else joins)
             for joins, rev in zip(orders, reverse)

@@ -6,6 +6,7 @@ any convention drift shows up as a loud failure rather than a silent
 re-derivation.
 """
 
+import hashlib
 import re
 
 import pytest
@@ -112,6 +113,18 @@ class TestParseErrors:
             ("O X[1,1,2,2]", InvalidDiagramError, "free loops beside crossings"),
             # one crossing whose strand crosses itself: forced genus 1
             ("X[1,2,1,2]", InvalidDiagramError, "genus-1"),
+            # the trace reads 1, 3, 2, 4, 5, 6 along the only component
+            (
+                "X[1,4,3,5] X[2,6,4,1] X[5,3,6,2]",
+                InvalidDiagramError,
+                "arc numbering is not consecutive along a component",
+            ),
+            # one component carries arcs 1 and 3, the other 2 and 4
+            (
+                "X[1,2,3,4] X[2,1,4,3]",
+                InvalidDiagramError,
+                "do not form a consecutive block",
+            ),
             # trefoil code with one crossing rotated out of convention
             (
                 "X[2,5,1,4] X[3,6,4,1] X[5,2,6,3]",
@@ -196,6 +209,34 @@ class TestCable:
     def test_frozen_two_cable_of_positive_kink(self, corpus_diagrams):
         c = cable(corpus_diagrams["kink-positive"], 2)
         assert serialize(c) == "X[1,8,2,7] X[5,5,6,8] X[2,4,3,3] X[6,1,7,4]"
+
+    # name -> 16-hex sha256 prefixes of serialize(cable(d, 3)) and, where
+    # the width-4 cable has at most 64 crossings, serialize(cable(d, 4))
+    FROZEN_WIDE_CABLES = {
+        "kink-positive": ("911fd3e743fa6523", "336ba217e532b49b"),
+        "kink-negative": ("1f9e9da44167c937", "89ee694144bc36c0"),
+        "double-kink-positive": ("1bb8b8f1a248ffd8", "a89b92b30bc68c2c"),
+        "cancelling-kinks": ("175303a1d55ef50e", "dbed98da6707a9d3"),
+        "hopf-positive": ("d8156c1825be9e5d", "7f0328ac3c7c0947"),
+        "trefoil-left": ("1f2579dffab8dfba", "88ca60c398e16163"),
+        "trefoil-right": ("e7ba8deadbec7033", "996c2f55de2ebeaf"),
+        "loopy-unknot": ("88ac5b838096c3f9", "14c4a1d01383bb32"),
+        "figure-eight": ("413ec231f647416f", "208671b7801ec205"),
+        "overlap-unlink": ("d8558a9d6daa7d1d", "867baa6e412f704b"),
+    }
+
+    def test_frozen_wide_cable_labels(self, corpus_diagrams):
+        crossed = {
+            name for name, d in corpus_diagrams.items() if d.crossings
+        }
+        assert crossed == set(self.FROZEN_WIDE_CABLES)
+        for name, digests in self.FROZEN_WIDE_CABLES.items():
+            d = corpus_diagrams[name]
+            widths = [3] + [4] * (16 * d.crossing_count <= 64)
+            assert len(digests) == len(widths)
+            for n, digest in zip(widths, digests):
+                text = serialize(cable(d, n)).encode()
+                assert hashlib.sha256(text).hexdigest()[:16] == digest
 
     def test_cables_reparse(self, corpus_diagrams):
         # the serialized cable must itself be a valid code with the

@@ -34,7 +34,7 @@ def _all_states(crossing_count):
 
 
 def circle_count(diagram, state):
-    return resolve(diagram, state).circle_count
+    return len(resolve(diagram, state).chord_orders)
 
 
 class TestKauffmanState:
@@ -102,11 +102,12 @@ class TestCircleCount:
 
 class TestResolution:
     def test_resolution_is_consistent(self, corpus_diagrams):
-        d = corpus_diagrams["trefoil-left"]
-        for s in _all_states(3):
-            r = resolve(d, s)
-            assert r.circle_count == oracle_circles(d, s.choices)
-            assert len(r.chord_orders) == r.circle_count
+        # every join lies on exactly one circle
+        for d in corpus_diagrams.values():
+            for s in _all_states(d.crossing_count):
+                r = resolve(d, s)
+                joins = sorted(j for order in r.chord_orders for j in order)
+                assert joins == list(range(2 * d.crossing_count))
 
     # each state has a circle nested inside another
     @pytest.mark.parametrize(
