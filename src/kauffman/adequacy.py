@@ -43,7 +43,7 @@ from .bracket import bracket
 from .diagram import LinkDiagram, cable, mirror, writhe
 from .jones import unreduced
 from .laurent import LaurentPoly
-from .states import KauffmanState, RibbonGraph, ribbon_graph
+from .states import RibbonGraph, ribbon_graph
 
 __all__ = [
     "AdequacyReport",
@@ -74,16 +74,7 @@ class InvariantViolation(RuntimeError):
 def state_graph(diagram: LinkDiagram, side: str = "A") -> RibbonGraph:
     """Ribbon graph of the all-A or all-B state, built once per
     diagram object and side."""
-    if side == "A":
-        extreme = KauffmanState.all_A
-    elif side == "B":
-        extreme = KauffmanState.all_B
-    else:
-        raise ValueError(f"side must be 'A' or 'B', not {side!r}")
-    return diagram._memoize(
-        ("graph", side),
-        lambda: ribbon_graph(diagram, extreme(diagram.crossing_count)),
-    )
+    return diagram._memoize(("graph", side), lambda: ribbon_graph(diagram, side))
 
 
 def is_a_adequate(diagram: LinkDiagram) -> bool:

@@ -33,7 +33,7 @@ from collections import Counter
 
 from kauffman.diagram import LinkDiagram
 from kauffman.laurent import LaurentPoly
-from kauffman.states import KauffmanState, ribbon_graph
+from kauffman.states import ribbon_graph
 
 __all__ = [
     "BRACKET_ENGINES",
@@ -200,7 +200,7 @@ def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 20) -> LaurentPoly:
             f"subgraph sum over 2^{c} edge subsets exceeds cap {cap}",
             {"crossings": c, "cap": cap},
         )
-    graph = ribbon_graph(diagram, KauffmanState.all_A(c))
+    graph = ribbon_graph(diagram, "A")
     corners = [0] * (4 * c)
     for rot in graph.rotations:
         for d, nxt in zip(rot, rot[1:] + rot[:1]):

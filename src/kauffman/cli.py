@@ -3,9 +3,9 @@
 Commands take a PD code either inline, as a path to a file holding one,
 or as ``-`` for standard input.  Exit codes: 0 success, 1 a certified
 invariant failed (the failing check is named on stderr), 2 malformed
-input, 3 a resource cap was hit.  With ``--json`` all output is a
-single canonical JSON document (sorted keys, fixed separators), so
-identical inputs produce identical bytes.
+input or a file that cannot be read, 3 a resource cap was hit.  With
+``--json`` all output is a single canonical JSON document (sorted keys,
+fixed separators), so identical inputs produce identical bytes.
 
 The argument parser is built once per process and shared by every
 :func:`main` call, so a long-lived caller pays for it once.
@@ -476,7 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     except CapExceeded as err:
         print(f"resource cap exceeded: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

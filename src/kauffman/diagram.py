@@ -109,11 +109,6 @@ class LinkDiagram:
         return cls(crossings=(), arc_count=0, components=(), free_loops=0)
 
     @classmethod
-    def unknot(cls) -> "LinkDiagram":
-        """The zero-crossing unknot, distinct from the empty diagram."""
-        return cls.crossingless(1)
-
-    @classmethod
     def crossingless(cls, loops: int) -> "LinkDiagram":
         if loops < 0:
             raise InvalidDiagramError("free loop count cannot be negative")

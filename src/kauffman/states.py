@@ -1,9 +1,14 @@
-"""Kauffman states, their circles, and state ribbon graphs.
+"""The all-A and all-B Kauffman states, their circles, and their
+ribbon graphs.
 
-Resolving every crossing of a diagram (each one joined the A way or the
-B way) leaves a disjoint union of circles in the plane; recording which
-pairs of circles each crossing used to touch gives a ribbon graph with
-one vertex per circle and one edge per crossing.
+Resolving every crossing of a diagram the same way, A or B, leaves a
+disjoint union of circles in the plane; recording which pairs of
+circles each crossing used to touch gives a ribbon graph with one
+vertex per circle and one edge per crossing.  These two extreme states,
+named by their side ``"A"`` or ``"B"``, are the only ones the package
+resolves: a mixed state is a spanning subgraph of the all-A ribbon
+graph, whose faces are that state's circles (Dasbach, Futer,
+Kalfagianni, Lin and Stoltzfus, JCTB 2008).
 
 A rotation at a circle is the cyclic order of its chord ends read along
 the circle: counterclockwise for circles at even depth below the region
@@ -18,85 +23,44 @@ chords orients them all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from kauffman.diagram import LinkDiagram
 
 __all__ = [
-    "A_JOINS",
-    "B_JOINS",
-    "KauffmanState",
     "RibbonGraph",
-    "StateResolution",
     "resolve",
     "ribbon_graph",
 ]
 
-# Slot pairs joined by each resolution choice, with slots numbered
-# counterclockwise from the incoming understrand.
-A_JOINS = ((0, 1), (2, 3))
-B_JOINS = ((3, 0), (1, 2))
 
+def resolve(diagram: LinkDiagram, side: str) -> tuple[tuple[int, ...], ...]:
+    """Resolve every crossing the ``side`` way, ``"A"`` or ``"B"``, and
+    orient the circles across the chords.
 
-@dataclass(frozen=True)
-class KauffmanState:
-    """One resolution choice ("A" or "B") per crossing."""
-
-    choices: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if any(ch not in ("A", "B") for ch in self.choices):
-            raise ValueError(f"state choices must be 'A' or 'B': {self.choices}")
-
-    @classmethod
-    def all_A(cls, crossing_count: int) -> "KauffmanState":
-        return cls(("A",) * crossing_count)
-
-    @classmethod
-    def all_B(cls, crossing_count: int) -> "KauffmanState":
-        return cls(("B",) * crossing_count)
-
-
-# Join index of each slot, per resolution choice.
-_JOIN_OF_SLOT = {
-    choice: tuple(
-        next(j for j, pair in enumerate(joins) if si in pair) for si in range(4)
-    )
-    for choice, joins in (("A", A_JOINS), ("B", B_JOINS))
-}
-
-
-@dataclass(frozen=True)
-class StateResolution:
-    """The chord orders of the circles of a resolved diagram.
-
-    ``chord_orders`` has one entry per circle: the flat join indices
-    ``2*ci + j`` in the order met along the circle's ribbon orientation,
-    the one that puts the odd side of the checkerboard colouring of the
-    circles on its left.  Every join lies on exactly one circle, and a
-    crossingless loop is a circle with no joins.
+    Returns one entry per circle: the flat join indices ``2*ci + j`` in
+    the order met along the circle's ribbon orientation, the one that
+    puts the odd side of the checkerboard colouring of the circles on
+    its left.  Join 0 of a crossing is the one at slot 0 (slots run
+    counterclockwise from the incoming understrand).  Every join lies on
+    exactly one circle, and a crossingless loop is a circle with no
+    joins.
     """
-
-    chord_orders: tuple[tuple[int, ...], ...]
-
-
-def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
-    """Resolve every crossing and orient the circles across the chords."""
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', not {side!r}")
     n = diagram.crossing_count
-    if len(state.choices) != n:
-        raise ValueError("state length does not match crossing count")
     if n == 0:
-        loops = diagram.free_loops
-        return StateResolution(chord_orders=((),) * loops)
+        return ((),) * diagram.free_loops
 
     partner = diagram.partner
-    choices = state.choices
+    # The A joins pair slots (0, 1) and (2, 3), so port p with p ^ 1;
+    # the B joins pair (3, 0) and (1, 2), so p with p ^ 3.  Adding t = 1
+    # to a B slot turns its pairs into A's, so halving the shifted slot
+    # gives the join index on both sides, with slot 0 in join 0.
+    t = 1 if side == "B" else 0
+    flip = 1 + 2 * t
 
     # Trace circles through alternating join and arc hops, starting each
-    # circle with a join hop.  Within a crossing the A join pairs port p
-    # with p ^ 1 and the B join pairs p with p ^ 3.  A join traced from
-    # slot s to slot s + 1 (mod 4) has its crossing, and so its chord,
-    # on the left.
+    # circle with a join hop.  A join traced from slot s to slot s + 1
+    # (mod 4) has its crossing, and so its chord, on the left.
     seen = [False] * (4 * n)
     orders: list[list[int]] = []
     circle_of_join = [0] * (2 * n)
@@ -107,10 +71,9 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
         joins: list[int] = []
         port = start
         while True:
-            choice = choices[port >> 2]
-            hop = port ^ (1 if choice == "A" else 3)
+            hop = port ^ flip
             seen[port] = seen[hop] = True
-            flat = 2 * (port >> 2) + _JOIN_OF_SLOT[choice][port & 3]
+            flat = 2 * (port >> 2) + (((port + t) & 3) >> 1)
             joins.append(flat)
             circle_of_join[flat] = len(orders)
             chord_on_left[flat] = (hop - port) & 3 == 1
@@ -137,11 +100,9 @@ def resolve(diagram: LinkDiagram, state: KauffmanState) -> StateResolution:
             elif reverse[other] != want:
                 raise AssertionError("chords disagree on a circle's orientation")
 
-    return StateResolution(
-        chord_orders=tuple(
-            tuple(joins[::-1] if rev else joins)
-            for joins, rev in zip(orders, reverse)
-        ),
+    return tuple(
+        tuple(joins[::-1] if rev else joins)
+        for joins, rev in zip(orders, reverse)
     )
 
 
@@ -276,11 +237,10 @@ class RibbonGraph:
         return doubled // 2
 
 
-def ribbon_graph(
-    diagram: LinkDiagram, state: KauffmanState
-) -> RibbonGraph:
-    """The state's ribbon graph: one vertex per circle, one edge per
-    crossing, edge i joining the circles at crossing i's two joins."""
+def ribbon_graph(diagram: LinkDiagram, side: str) -> RibbonGraph:
+    """The ribbon graph of the all-``side`` state: one vertex per
+    circle, one edge per crossing, edge i joining the circles at
+    crossing i's two joins."""
     # Ribbon dart ids: crossing ci's chord owns darts 2ci (at join 0)
     # and 2ci + 1 (at join 1); flat join index 2ci + j is the dart id.
-    return RibbonGraph(resolve(diagram, state).chord_orders)
+    return RibbonGraph(resolve(diagram, side))

@@ -27,7 +27,7 @@ from kauffman.bracket import (
 )
 from kauffman.diagram import LinkDiagram, cable, from_slot_tuples, mirror
 from kauffman.laurent import LaurentPoly
-from kauffman.states import KauffmanState, ribbon_graph
+from kauffman.states import ribbon_graph
 
 from conftest import small_pool
 from oracles import oracle_bracket
@@ -322,7 +322,7 @@ class TestCheckersAgainstPerMaskWalks:
         self, corpus_diagrams, small_diagrams
     ):
         for d in self._diagrams(corpus_diagrams, small_diagrams):
-            graph = ribbon_graph(d, KauffmanState.all_A(d.crossing_count))
+            graph = ribbon_graph(d, "A")
             expected = _per_mask_bracket(d.crossing_count, graph.faces)
             assert bracket_subgraph(d) == expected, d
 

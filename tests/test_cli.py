@@ -104,6 +104,20 @@ class TestExitCodes:
         assert rc == 2
         assert "error: cable width must be nonnegative" in err
 
+    def test_unreadable_input_file_is_two(self, capsys, tmp_path):
+        rc, out, err = run(capsys, "bracket", str(tmp_path))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_corpus_file_is_two(self, capsys, tmp_path):
+        missing = tmp_path / "missing.tsv"
+        rc, out, err = run(capsys, "verify", "--corpus", str(missing))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.tsv" in err
+
 
 class TestOptionRegistration:
     """Each subcommand registers only the shared options it reads."""

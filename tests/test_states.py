@@ -1,63 +1,28 @@
-"""States, circle counts, ribbon graphs, and the face/circle duality.
+"""Extreme states, circle counts, ribbon graphs, and the face/circle
+duality.
 
-The load-bearing fact checked here: resolving crossing choices and
-counting circles agrees with counting faces of spanning subgraphs of
-the opposite-state ribbon graph, for every subset, on every bundled
-diagram.  Both quantities are computed by unrelated code paths (port
-union-find vs rotation-system face tracing), so agreement over all
-2^e subsets is a strong cross-check of the dart conventions.
+The load-bearing fact checked here: counting the circles of a state
+agrees with counting faces of spanning subgraphs of the extreme-state
+ribbon graphs, for every subset, on every bundled diagram.  The circles
+come from the oracle's union-find over slot ends and the faces from
+rotation-system face tracing, two unrelated code paths, so agreement
+over all 2^e subsets is a strong cross-check of the dart conventions.
 """
+
+import hashlib
 
 import pytest
 
-from kauffman.diagram import cable
-from kauffman.states import (
-    KauffmanState,
-    RibbonGraph,
-    resolve,
-    ribbon_graph,
-)
+from kauffman.diagram import LinkDiagram, cable
+from kauffman.states import RibbonGraph, resolve, ribbon_graph
 
 from oracles import oracle_circles
 
 
-def _from_b_mask(mask, crossing_count):
-    """Bit i set means crossing i is resolved the B way."""
-    return KauffmanState(tuple(
-        "B" if mask >> i & 1 else "A" for i in range(crossing_count)
-    ))
-
-
-def _all_states(crossing_count):
-    for mask in range(1 << crossing_count):
-        yield _from_b_mask(mask, crossing_count)
-
-
-def circle_count(diagram, state):
-    return len(resolve(diagram, state).chord_orders)
-
-
-class TestKauffmanState:
-    def test_mask_round_trip(self):
-        s = KauffmanState(("B", "B", "A", "B", "A"))
-        assert _from_b_mask(0b1011, 5) == s
-        back = sum(1 << i for i, ch in enumerate(s.choices) if ch == "B")
-        assert back == 0b1011
-
-    def test_all_A_all_B(self):
-        assert KauffmanState.all_A(3).choices == ("A", "A", "A")
-        assert KauffmanState.all_B(3) == _from_b_mask(0b111, 3)
-
-    def test_invalid_choice_rejected(self):
-        with pytest.raises(ValueError, match="must be 'A' or 'B'"):
-            KauffmanState(("A", "C"))
-
-    def test_length_mismatch_rejected(self, corpus_diagrams):
-        d = corpus_diagrams["trefoil-left"]
-        with pytest.raises(ValueError, match="does not match crossing count"):
-            ribbon_graph(d, KauffmanState.all_A(2))
-        with pytest.raises(ValueError, match="does not match crossing count"):
-            resolve(d, KauffmanState.all_B(4))
+def _choices(mask, crossing_count, flipped):
+    """Bit i set means crossing i is resolved the ``flipped`` way."""
+    other = "A" if flipped == "B" else "B"
+    return [flipped if mask >> i & 1 else other for i in range(crossing_count)]
 
 
 class TestCircleCount:
@@ -78,55 +43,90 @@ class TestCircleCount:
     @pytest.mark.parametrize("name", sorted(EXTREMES))
     def test_extreme_states_frozen(self, corpus_diagrams, name):
         d = corpus_diagrams[name]
-        c = d.crossing_count
-        v_a, v_b = self.EXTREMES[name]
-        assert circle_count(d, KauffmanState.all_A(c)) == v_a
-        assert circle_count(d, KauffmanState.all_B(c)) == v_b
+        assert (len(resolve(d, "A")), len(resolve(d, "B"))) == self.EXTREMES[name]
 
     def test_crossingless_diagrams(self):
-        from kauffman.diagram import LinkDiagram
-
         d = LinkDiagram.crossingless(3)
-        assert circle_count(d, KauffmanState.all_A(0)) == 3
+        assert resolve(d, "A") == resolve(d, "B") == ((),) * 3
+
+    # every other state's circles are faces of these graphs, checked
+    # against the oracle by TestDuality
+    def _check(self, d):
+        for side in "AB":
+            assert len(resolve(d, side)) == oracle_circles(d, side * d.crossing_count)
 
     def test_matches_oracle_on_corpus(self, corpus_diagrams):
         for d in corpus_diagrams.values():
-            for s in _all_states(d.crossing_count):
-                assert circle_count(d, s) == oracle_circles(d, s.choices)
+            self._check(d)
 
     def test_matches_oracle_on_small_pool(self, small_diagrams):
         for d in small_diagrams:
-            for s in _all_states(d.crossing_count):
-                assert circle_count(d, s) == oracle_circles(d, s.choices)
+            self._check(d)
 
 
 class TestResolution:
     def test_resolution_is_consistent(self, corpus_diagrams):
         # every join lies on exactly one circle
         for d in corpus_diagrams.values():
-            for s in _all_states(d.crossing_count):
-                r = resolve(d, s)
-                joins = sorted(j for order in r.chord_orders for j in order)
+            for side in "AB":
+                joins = sorted(j for order in resolve(d, side) for j in order)
                 assert joins == list(range(2 * d.crossing_count))
 
-    # each state has a circle nested inside another
-    @pytest.mark.parametrize(
-        "name, mask, orders",
-        [
-            ("double-kink-positive", 0b01, ((2, 1, 0), (3,))),
-            ("trefoil-left", 0b001, ((3, 1, 4, 0), (5, 2))),
-            ("figure-eight", 0b1100, ((0, 6, 2, 4), (1, 3), (7, 5))),
-        ],
-    )
-    def test_frozen_depths(self, corpus_diagrams, name, mask, orders):
-        d = corpus_diagrams[name]
-        r = resolve(d, _from_b_mask(mask, d.crossing_count))
-        assert r.chord_orders == orders
+    def test_invalid_side_rejected(self, corpus_diagrams):
+        for d in (corpus_diagrams["trefoil-left"], LinkDiagram.crossingless(2)):
+            for side in ("C", "a", None):
+                with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+                    resolve(d, side)
+                with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+                    ribbon_graph(d, side)
 
     def test_positive_kink_is_never_nested(self, corpus_diagrams):
         d = corpus_diagrams["kink-positive"]
-        assert resolve(d, KauffmanState.all_A(1)).chord_orders == ((0,), (1,))
-        assert resolve(d, KauffmanState.all_B(1)).chord_orders == ((1, 0),)
+        assert resolve(d, "A") == ((0,), (1,))
+        assert resolve(d, "B") == ((1, 0),)
+
+    # In the extreme states of a cable the copies of a circle run
+    # parallel, so circles nest.  16-hex sha256 of the rotations of the
+    # all-A and all-B graphs of every corpus entry with crossings at
+    # width 2, and at width 3 where the cable has at most 36 crossings.
+    NESTED = {
+        ("kink-positive", 2): ("4ad1cfbd0cbe984b", "f9f8306bb19e1f56"),
+        ("kink-positive", 3): ("a416131da09ea928", "41556d8f38344522"),
+        ("kink-negative", 2): ("ecaa9d90aeff657f", "a5daee13ad6188d2"),
+        ("kink-negative", 3): ("ac0e4eac50514df7", "0b2037b4e58c24b0"),
+        ("double-kink-positive", 2): ("8eaf2612a33e6edf", "f6b46522284e684d"),
+        ("double-kink-positive", 3): ("58c88e119e890e3c", "e0db5b96e9d4a4b3"),
+        ("cancelling-kinks", 2): ("2aae15175abf607c", "d8f010c7892caeb7"),
+        ("cancelling-kinks", 3): ("cfbac083074ba45d", "884b1cbee13c309e"),
+        ("hopf-positive", 2): ("63aefad1533a1076", "31cd4ffa41fec800"),
+        ("hopf-positive", 3): ("74ceb01bf2abc978", "a31ce5096b04c343"),
+        ("trefoil-left", 2): ("f98067019258ce10", "b86fe45dd6d959eb"),
+        ("trefoil-left", 3): ("7d61958ce06c1a42", "15c4b7b297cc2217"),
+        ("trefoil-right", 2): ("9dc50af85b0b898f", "4dc254801a8c08df"),
+        ("trefoil-right", 3): ("e7e80e9dd0761a62", "147a68bb7e69a153"),
+        ("loopy-unknot", 2): ("1d60c947de0c56bc", "4de888d93babd076"),
+        ("loopy-unknot", 3): ("e51c423bfe7ee389", "ddb59c2a5fcaf53c"),
+        ("figure-eight", 2): ("e677404d08079672", "56798cb09fa43b28"),
+        ("figure-eight", 3): ("6af224180568de31", "de1b9ea9d17469bd"),
+        ("overlap-unlink", 2): ("c863ca23aae01398", "39bf06e5ad285eb3"),
+        ("overlap-unlink", 3): ("73c91ff2d7835124", "b9b64bd01326ce28"),
+    }
+
+    def test_frozen_nested_rotations(self, corpus_diagrams):
+        covered = {
+            (name, n)
+            for name, d in corpus_diagrams.items() if d.crossing_count
+            for n in (2, 3) if n == 2 or 9 * d.crossing_count <= 36
+        }
+        assert covered == set(self.NESTED)
+        for (name, n), expected in self.NESTED.items():
+            c = cable(corpus_diagrams[name], n)
+            got = tuple(
+                hashlib.sha256(repr(ribbon_graph(c, side).rotations).encode())
+                .hexdigest()[:16]
+                for side in "AB"
+            )
+            assert got == expected, (name, n)
 
 
 class TestRibbonGraphBasics:
@@ -201,7 +201,7 @@ class TestGenusFixtures:
     def test_genus_never_increases_under_deletion(self, corpus_diagrams):
         for name in ("trefoil-left", "loopy-unknot", "figure-eight"):
             d = corpus_diagrams[name]
-            g = ribbon_graph(d, KauffmanState.all_A(d.crossing_count))
+            g = ribbon_graph(d, "A")
             for mask in range(1 << g.edge_count):
                 for e in range(g.edge_count):
                     if mask & (1 << e):
@@ -209,18 +209,16 @@ class TestGenusFixtures:
 
 
 class TestDuality:
-    """faces(subset of one state graph) == circles of the flipped state."""
+    """faces(subset of one state graph) == circles of the state that
+    flips that subset."""
 
     def _check(self, d):
         c = d.crossing_count
-        full = (1 << c) - 1
-        g_a = ribbon_graph(d, KauffmanState.all_A(c))
-        g_b = ribbon_graph(d, KauffmanState.all_B(c))
+        g_a = ribbon_graph(d, "A")
+        g_b = ribbon_graph(d, "B")
         for mask in range(1 << c):
-            circles_b = circle_count(d, _from_b_mask(mask, c))
-            assert g_a.faces(mask) == circles_b
-            circles_a = circle_count(d, _from_b_mask(full ^ mask, c))
-            assert g_b.faces(mask) == circles_a
+            assert g_a.faces(mask) == oracle_circles(d, _choices(mask, c, "B"))
+            assert g_b.faces(mask) == oracle_circles(d, _choices(mask, c, "A"))
 
     def test_duality_on_corpus(self, corpus_diagrams):
         for d in corpus_diagrams.values():
@@ -242,8 +240,8 @@ class TestFaceCombinatorics:
     def _graphs(self, corpus_diagrams):
         for d in corpus_diagrams.values():
             if d.crossing_count:
-                yield ribbon_graph(d, KauffmanState.all_A(d.crossing_count))
-                yield ribbon_graph(d, KauffmanState.all_B(d.crossing_count))
+                yield ribbon_graph(d, "A")
+                yield ribbon_graph(d, "B")
 
     def test_single_deletion_moves_faces_by_one(self, corpus_diagrams):
         for g in self._graphs(corpus_diagrams):
@@ -270,7 +268,7 @@ class TestFaceCombinatorics:
 
 class TestSubgraphHelpers:
     def test_loopy_unknot_loop_structure(self, corpus_diagrams):
-        g = ribbon_graph(corpus_diagrams["loopy-unknot"], KauffmanState.all_A(3))
+        g = ribbon_graph(corpus_diagrams["loopy-unknot"], "A")
         assert g.vertex_count == 1
         assert g.edge_count == 3
         assert g.loop_mask() == 0b111
@@ -278,7 +276,7 @@ class TestSubgraphHelpers:
         assert g.genus(g.loop_mask()) == 1
 
     def test_left_trefoil_has_no_loops(self, corpus_diagrams):
-        g = ribbon_graph(corpus_diagrams["trefoil-left"], KauffmanState.all_A(3))
+        g = ribbon_graph(corpus_diagrams["trefoil-left"], "A")
         assert g.loop_mask() == 0
         assert g.faces(g.loop_mask()) == g.vertex_count
 
