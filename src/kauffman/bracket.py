@@ -24,12 +24,19 @@ Engines:
   gluing of Bar-Natan's "Fast Khovanov homology computations".  A
   state is keyed by its open boundary alone and its weight is packed
   into one integer.  The number of live states stays small for cabled
-  diagrams, which is where the exponential engines give out.
+  diagrams, which is where the exponential engines give out.  Its cost
+  is set by the crossing order (:func:`_sweep_order`): a greedy one
+  that keeps the open boundary small, and where the sweep promises to
+  be expensive, the best by score of greedy orders from several start
+  crossings, the score being the sum of 2**(open ports) over the steps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from heapq import heappop, heappush
+from math import comb
+from operator import itemgetter
 
 from kauffman.diagram import LinkDiagram
 from kauffman.laurent import LaurentPoly
@@ -209,32 +216,87 @@ def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 20) -> LaurentPoly:
     return _assemble(_loop_histogram(corners, _crossing_joins(c)), c)
 
 
-def _sweep_order(diagram: LinkDiagram) -> list[int]:
-    """Process crossings so the open boundary stays small: repeatedly
-    take the crossing with the most arcs into the processed region."""
-    c = diagram.crossing_count
-    neighbors: list[Counter] = [Counter() for _ in range(c)]
-    for p, q in enumerate(diagram.partner):
-        neighbors[p >> 2][q >> 2] += 1
-    order: list[int] = []
-    done = [False] * c
+# Start crossings an order search tries.
+_STARTS = 16
+
+
+def _greedy_order(ends, start, bound):
+    """From ``start``, repeatedly take the crossing with the most arcs
+    into the processed region, the lowest index first among ties.
+    ``ends[ci]`` lists the crossings at the far ends of ``ci``'s four
+    arcs.  Returns the order, the open-port count after each step and
+    the score, the sum of 2**open over the steps; or None as soon as
+    the score reaches ``bound``.
+
+    Only frontier crossings are candidates: they sit in a heap keyed
+    ``ci - attached * c``, pushed again whenever another arc attaches
+    them, and a popped key that is no longer current is dropped.
+    """
+    c = len(ends)
     attached = [0] * c
-    for _ in range(c):
-        best = -1
-        best_key = None
-        for ci in range(c):
-            if done[ci]:
-                continue
-            key = (-attached[ci], ci)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = ci
-        order.append(best)
-        done[best] = True
-        for other, count in neighbors[best].items():
+    done = [False] * c
+    heap = [start]
+    order: list[int] = []
+    opens: list[int] = []
+    open_ports = score = 0
+    while heap:
+        key = heappop(heap)
+        ci = key % c
+        if done[ci] or key != ci - attached[ci] * c:
+            continue
+        done[ci] = True
+        order.append(ci)
+        # the attached ports close; the others open unless their arc
+        # returns to ``ci``
+        here = ends[ci]
+        open_ports += 4 - 2 * attached[ci] - here.count(ci)
+        opens.append(open_ports)
+        score += 1 << open_ports
+        if score >= bound:
+            return None
+        for other in here:
             if not done[other]:
-                attached[other] += count
-    return order
+                attached[other] += 1
+                heappush(heap, other - attached[other] * c)
+    return order, opens, score
+
+
+def _sweep_order(diagram: LinkDiagram) -> list[int]:
+    """A crossing order that keeps the sweep's open boundary small.
+
+    The default is the greedy of :func:`_greedy_order` from crossing 0.
+    The sweep's work along it is estimated as the sum over its steps of
+    Catalan(open / 2), the number of planar pairings of the open ports.
+    Only when that estimate exceeds a search's own cost, about
+    ``_STARTS * c``, is the greedy run again from ``_STARTS`` starts
+    spaced evenly over the crossings ranked by their arc labels, with
+    ties also going to the lower rank, and the order of least score
+    (the sum over steps of 2**open) kept.  Labels run along the
+    components, so these candidates do not depend on the order in which
+    the code lists its crossings.  A candidate replaces the default only
+    by scoring less.
+    """
+    c = diagram.crossing_count
+    partner = diagram.partner
+    ends = [
+        [partner[p] >> 2 for p in range(4 * ci, 4 * ci + 4)]
+        for ci in range(c)
+    ]
+    best, opens, bound = _greedy_order(ends, 0, float("inf"))
+    starts = min(_STARTS, c)
+    if sum(comb(o, o // 2) // (o // 2 + 1) for o in opens) <= starts * c:
+        return best
+    rank = sorted(range(c), key=lambda ci: sorted(diagram.crossings[ci].slots))
+    pos = [0] * c
+    for r, ci in enumerate(rank):
+        pos[ci] = r
+    ranked = [[pos[x] for x in ends[ci]] for ci in rank]
+    for i in range(starts):
+        found = _greedy_order(ranked, i * c // starts, bound)
+        if found is not None:
+            order, _, bound = found
+            best = [rank[r] for r in order]
+    return best
 
 
 def _frontier_plan(diagram: LinkDiagram, order: list[int]):
@@ -293,14 +355,18 @@ def _unpack(packed: int, c: int) -> LaurentPoly:
 def bracket_fast(
     diagram: LinkDiagram, *, max_states: int = 200_000
 ) -> LaurentPoly:
-    """Bracket via a crossing-by-crossing sweep.
+    """Bracket via a crossing-by-crossing sweep, in the order of
+    :func:`_sweep_order`.
 
     A partial computation is a pairing of the open ports (ports of
     unprocessed crossings whose arcs run into the processed region) and
     a weight packed into one integer (:func:`_weight_slots`); branches
     with the same pairing merge.  The open ports depend only on the
     step, so a state's key is their partners in a fixed slot order, and
-    every other port keeps its arc partner.  A step raises
+    every other port keeps its arc partner.  A state meets a step only
+    through the partners of the ports the step reads, so each step
+    resolves its two joins once per distinct such partners and reuses
+    the result for every state that shares them.  A step raises
     :class:`CapExceeded` once its table outgrows ``max_states``.
     """
     c = diagram.crossing_count
@@ -312,25 +378,40 @@ def bracket_fast(
     states = {closed: 1 << (bits * offset)}
 
     for done, (base, reads, fixed, open_ports) in enumerate(steps, 1):
-        a_pairs = ((base, base + 1), (base + 2, base + 3))
-        b_pairs = ((base, base + 3), (base + 1, base + 2))
+        joins = (((base, base + 1), (base + 2, base + 3)),
+                 ((base, base + 3), (base + 1, base + 2)))
+        read_slots = [s for _, s in reads]
+        # the first step reads no port and sees one state
+        far_of = itemgetter(*read_slots) if reads else (lambda key: None)
+        moves: dict = {}  # far partners -> (loops closed, link) per join
         new_states: dict[tuple, int] = {}
         for key, weight in states.items():
-            ends = {**fixed, **{p: key[s] for p, s in reads}}
+            far = far_of(key)
+            move = moves.get(far)
+            if move is None:
+                ends = {**fixed, **{p: key[s] for p, s in reads}}
+                move = moves[far] = []
+                for pairs in joins:
+                    link = dict(ends)
+                    loops = 0
+                    for p, q in pairs:
+                        a, b = link.pop(p), link.pop(q)
+                        if a == q:
+                            loops += 1
+                        else:
+                            link[a] = b
+                            link[b] = a
+                    move.append((loops, link))
+            cleared = list(key)
+            for s in read_slots:  # freed; an opened port may take one
+                cleared[s] = -1
             # The A join multiplies by A = u * A^-1 and the B join by
             # A^-1; the A^-1 of every crossing is put back at the end.
-            for w, pairs in ((weight << bits, a_pairs), (weight, b_pairs)):
-                link = dict(ends)
-                for p, q in pairs:
-                    a, b = link.pop(p), link.pop(q)
-                    if a == q:  # a closed circle: times -(u + u^-1)
-                        w = -((w << bits) + (w >> bits))
-                    else:
-                        link[a] = b
-                        link[b] = a
-                branch = list(key)
-                for _, s in reads:  # freed; an opened port may take one
-                    branch[s] = -1
+            w = weight << bits
+            for loops, link in move:
+                for _ in range(loops):  # a closed circle: times -(u + u^-1)
+                    w = -((w << bits) + (w >> bits))
+                branch = cleared.copy()
                 for p, q in link.items():
                     branch[slot_of[p]] = q
                 bkey = tuple(branch)
@@ -342,6 +423,7 @@ def bracket_fast(
                         {"crossings_done": done, "crossings_total": c,
                          "states": len(new_states), "open_ports": open_ports},
                     )
+                w = weight  # the B join
         states = new_states
 
     if list(states) != [closed]:

@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Commands take a PD code either inline, as a path to a file holding one,
-or as ``-`` for standard input.  Exit codes: 0 success, 1 a certified
-invariant failed (the failing check is named on stderr), 2 malformed
-input or a file that cannot be read, 3 a resource cap was hit.  With
-``--json`` all output is a single canonical JSON document (sorted keys,
-fixed separators), so identical inputs produce identical bytes.
+or as ``-`` for standard input; an argument with no ``[`` that is
+neither empty nor only ``O`` loops is read as a path.  Exit codes: 0
+success, 1 a certified invariant failed (the failing check is named on
+stderr), 2 malformed input or a file that cannot be read, 3 a resource
+cap was hit.  With ``--json`` all output is a single canonical JSON
+document (sorted keys, fixed separators), so identical inputs produce
+identical bytes.
 
 The argument parser is built once per process and shared by every
 :func:`main` call, so a long-lived caller pays for it once.
@@ -47,9 +49,14 @@ def _poly_json(poly, var="A"):
 
 
 def _load_pd(arg: str) -> str:
+    """The PD text an argument names: standard input for ``-``, an
+    existing file, the argument itself when it holds a ``[``, is empty
+    or is only ``O`` loops, and otherwise a file, so that a mistyped
+    path is reported as a missing file."""
     if arg == "-":
         return sys.stdin.read()
-    if os.path.exists(arg):
+    inline = "[" in arg or all(token == "O" for token in arg.split())
+    if os.path.exists(arg) or not inline:
         with open(arg, encoding="utf-8") as fh:
             return fh.read()
     return arg

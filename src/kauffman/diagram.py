@@ -380,16 +380,50 @@ def writhe(diagram: LinkDiagram) -> int:
 def mirror(diagram: LinkDiagram) -> LinkDiagram:
     """Switch every crossing, keeping the projection.
 
-    The old overstrand becomes the understrand, so the slot tuple is
-    rotated to start at the old overstrand's entry slot.
+    The old overstrand becomes the understrand, so each slot tuple is
+    rotated to start at the old overstrand's entry slot ``k``, and port
+    ``4*ci + s`` becomes ``4*ci + (s - k) % 4``.  Arcs and components
+    stay, and so do orientations, so every sign flips, except where
+    validation would orient a short component the other way.  The
+    result is built from the diagram's validated data and equals
+    validating the rotated tuples afresh.
     """
     if not diagram.crossings:
         return diagram
-    tuples = []
-    for x in diagram.crossings:
-        k = x.over_in_slot
-        tuples.append(tuple(x.slots[(k + i) % 4] for i in range(4)))
-    return from_slot_tuples(tuples)
+    shift = [x.over_in_slot for x in diagram.crossings]
+
+    def moved(p: int) -> int:
+        return (p & ~3) | ((p - shift[p >> 2]) & 3)
+
+    partner = [0] * len(diagram.partner)
+    for p, q in enumerate(diagram.partner):
+        partner[moved(p)] = moved(q)
+    signs = [-x.sign for x in diagram.crossings]
+    # Validation orients a component of one or two arcs that no
+    # understrand pins so that its smallest arc enters a passage at the
+    # lower of its two ports (``_trace_components``).  In the mirror
+    # those are the short components that pass only under here; where
+    # the rule reverses one, each crossing it passes flips back.
+    labels = [a for x in diagram.crossings for a in x.slots]
+    for comp in diagram.components:
+        if len(comp) > 2:
+            continue
+        ports = [p for p, a in enumerate(labels) if a in comp]
+        if any(p & 1 for p in ports):
+            continue
+        head = next(p for p in ports if labels[p] == comp[0] and p & 3 == 0)
+        if moved(head) > moved(diagram.partner[head]):
+            for ci in {p >> 2 for p in ports}:
+                signs[ci] = -signs[ci]
+    return LinkDiagram(
+        crossings=tuple(
+            Crossing(slots=x.slots[k:] + x.slots[:k], sign=sign)
+            for x, k, sign in zip(diagram.crossings, shift, signs)
+        ),
+        arc_count=diagram.arc_count,
+        components=diagram.components,
+        partner=tuple(partner),
+    )
 
 
 def cable(diagram: LinkDiagram, n: int) -> LinkDiagram:

@@ -110,6 +110,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_missing_input_file_is_two(self, capsys, tmp_path):
+        # an argument that cannot be PD text is a path, even a missing one
+        missing = tmp_path / "knot.pd"
+        rc, out, err = run(capsys, "bracket", str(missing))
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "knot.pd" in err and "malformed" not in err
+
     def test_missing_corpus_file_is_two(self, capsys, tmp_path):
         missing = tmp_path / "missing.tsv"
         rc, out, err = run(capsys, "verify", "--corpus", str(missing))

@@ -19,6 +19,7 @@ from kauffman.diagram import (
     LinkDiagram,
     PDSyntaxError,
     cable,
+    from_slot_tuples,
     mirror,
     parse_pd,
     serialize,
@@ -170,6 +171,24 @@ class TestMirror:
         }
         for name, expected in cases.items():
             assert serialize(mirror(corpus_diagrams[name])) == expected
+
+    def test_equals_the_parse_of_the_rotated_code(self, corpus_diagrams):
+        # mirror builds its result from the diagram's validated data;
+        # validating the rotated slot tuples afresh gives the same one
+        base = [d for d in corpus_diagrams.values() if d.crossings]
+        base += [d for d in small_pool() if d.crossings]
+        for d in base + [cable(d, n) for d in base for n in (2, 3)]:
+            m = mirror(d)
+            expected = from_slot_tuples([
+                x.slots[x.over_in_slot:] + x.slots[:x.over_in_slot]
+                for x in d.crossings
+            ])
+            assert serialize(m) == serialize(expected)
+            assert m.partner == expected.partner
+            assert [x.sign for x in m.crossings] == [
+                x.sign for x in expected.crossings
+            ]
+            assert m.components == expected.components
 
     def test_left_trefoil_mirrors_to_right(self, corpus_diagrams):
         pds = {e.name: e.pd for e in bundled()}
