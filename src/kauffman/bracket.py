@@ -441,11 +441,13 @@ BRACKET_ENGINES = {
 
 
 def bracket(
-    diagram: LinkDiagram, *, engine: str = "fast", **limits
+    diagram: LinkDiagram, *, engine: str = "fast", cap: int | None = None
 ) -> LaurentPoly:
-    """Dispatch to a bracket engine by name.
+    """Dispatch to a bracket engine by name, under one resource cap:
+    ``max_states`` for the sweep, the crossing budget ``cap`` for the
+    exponential engines; None keeps the engine's default.
 
-    The value is computed once per diagram object, engine and limits,
+    The value is computed once per diagram object, by engine and cap,
     so the cable brackets of a diagram (its memoized cables' brackets)
     are shared by every computation that reads them.  A call that
     raises :class:`CapExceeded` stores nothing.
@@ -456,5 +458,9 @@ def bracket(
         raise ValueError(
             f"unknown engine {engine!r}; choose from {sorted(BRACKET_ENGINES)}"
         ) from None
-    key = ("bracket", engine, tuple(sorted(limits.items())))
-    return diagram._memoize(key, lambda: fn(diagram, **limits))
+    limits = {} if cap is None else {
+        "max_states" if engine == "fast" else "cap": cap
+    }
+    return diagram._memoize(
+        ("bracket", engine, cap), lambda: fn(diagram, **limits)
+    )

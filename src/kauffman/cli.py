@@ -42,12 +42,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _poly_json(poly, var="A"):
-    if poly is None:
-        return None
-    return {"pairs": poly.to_pairs(), "text": poly.to_text(var=var)}
-
-
 def _load_pd(arg: str) -> str:
     """The PD text an argument names: standard input for ``-``, an
     existing file, the argument itself when it holds a ``[``, is empty
@@ -62,18 +56,10 @@ def _load_pd(arg: str) -> str:
     return arg
 
 
-def _limits(engine: str, cap: int | None) -> dict:
-    if cap is None:
-        return {}
-    if engine == "fast":
-        return {"max_states": cap}
-    return {"cap": cap}
-
-
 def _every_engine(diagram: LinkDiagram, cap: int | None) -> dict:
     """The diagram's bracket from each engine, keyed by engine name."""
     return {
-        name: bracket(diagram, engine=name, **_limits(name, cap))
+        name: bracket(diagram, engine=name, cap=cap)
         for name in sorted(BRACKET_ENGINES)
     }
 
@@ -87,7 +73,7 @@ def _cmd_bracket(args) -> int:
             print(_dumps({
                 "agree": agree,
                 "engines": {
-                    k: _poly_json(v) for k, v in values.items()
+                    k: v.to_json() for k, v in values.items()
                 },
                 "pd": serialize(diagram),
             }))
@@ -103,12 +89,10 @@ def _cmd_bracket(args) -> int:
             )
             return 1
         return 0
-    value = bracket(
-        diagram, engine=args.engine, **_limits(args.engine, args.cap)
-    )
+    value = bracket(diagram, engine=args.engine, cap=args.cap)
     if args.json:
         print(_dumps({
-            "bracket": _poly_json(value),
+            "bracket": value.to_json(),
             "engine": args.engine,
             "pd": serialize(diagram),
         }))
@@ -119,21 +103,20 @@ def _cmd_bracket(args) -> int:
 
 def _cmd_cjones(args) -> int:
     diagram = parse_pd(_load_pd(args.pd))
-    limits = _limits(args.engine, args.cap)
     if args.unreduced:
-        value = unreduced(diagram, args.n, engine=args.engine, **limits)
+        value = unreduced(diagram, args.n, cap=args.cap)
         if args.json:
             print(_dumps({
                 "form": "unreduced",
                 "pd": serialize(diagram),
-                "value": _poly_json(value),
+                "value": value.to_json(),
                 "variable": "A",
                 "width": args.n,
             }))
         else:
             print(value.to_text())
         return 0
-    result = reduced(diagram, args.n, engine=args.engine, **limits)
+    result = reduced(diagram, args.n, cap=args.cap)
     var = "q" if result.in_q else "A"
     shown = result.q_poly if result.in_q else result.a_poly
     if args.json:
@@ -141,7 +124,7 @@ def _cmd_cjones(args) -> int:
             "form": "reduced",
             "pd": serialize(diagram),
             "q_convertible": result.in_q,
-            "value": _poly_json(shown, var=var),
+            "value": shown.to_json(var=var),
             "variable": var,
             "width": args.n,
         }))
@@ -184,11 +167,7 @@ def _render_report(j: dict) -> str:
 def _cmd_adequacy(args) -> int:
     diagram = parse_pd(_load_pd(args.pd))
     report = analyze(
-        diagram,
-        n_max=args.nmax,
-        series=args.series,
-        engine=args.engine,
-        **_limits(args.engine, args.cap),
+        diagram, n_max=args.nmax, series=args.series, cap=args.cap
     )
     j = report.to_json()
     if args.json:
@@ -255,7 +234,7 @@ def _verify_entry(payload) -> dict:
                 )
             done("engine-agreement-cable")
 
-        flipped = bracket(mirror(diagram), **_limits("fast", cap))
+        flipped = bracket(mirror(diagram), cap=cap)
         if flipped != value.invert_variable():
             return fail(
                 "mirror-duality",
@@ -266,12 +245,7 @@ def _verify_entry(payload) -> dict:
         width = feasible_width(diagram)
         if nmax is not None:
             width = min(width, nmax)
-        report = analyze(
-            diagram,
-            n_max=width,
-            name=name,
-            **_limits("fast", cap),
-        )
+        report = analyze(diagram, n_max=width, name=name, cap=cap)
         done("adequacy-battery")
 
         if label_a is not None and report.a_adequate != label_a:
@@ -326,8 +300,11 @@ def _cmd_verify(args) -> int:
         (e.name, e.pd, e.a_adequate, e.b_adequate, args.nmax, args.cap)
         for e in entries
     ]
-    if args.workers and args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # a forking pool starts all its workers at the first submit, so
+    # ask for no more than there are entries
+    workers = min(args.workers, len(payloads))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_entry, payloads))
     else:
         results = [_verify_entry(p) for p in payloads]
@@ -356,22 +333,9 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-def _add_common(
-    sub: argparse.ArgumentParser,
-    *,
-    engine: bool = True,
-    cap: bool = True,
-    workers: bool = False,
-) -> None:
-    """Register ``--json`` and whichever of the shared options the
-    subcommand reads."""
-    if engine:
-        sub.add_argument(
-            "--engine",
-            choices=sorted(BRACKET_ENGINES),
-            default="fast",
-            help="bracket engine (default: fast)",
-        )
+def _add_common(sub: argparse.ArgumentParser, *, cap: bool = True) -> None:
+    """Register ``--json`` and, unless the subcommand reads no bracket,
+    ``--cap``."""
     if cap:
         sub.add_argument(
             "--cap",
@@ -379,13 +343,6 @@ def _add_common(
             default=None,
             help="resource cap: crossing budget for the state-sum and "
             "subgraph engines, state budget for the fast engine",
-        )
-    if workers:
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="parallel workers",
         )
     sub.add_argument(
         "--json",
@@ -413,6 +370,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--selftest",
         action="store_true",
         help="run every engine and require agreement",
+    )
+    p.add_argument(
+        "--engine",
+        choices=sorted(BRACKET_ENGINES),
+        default="fast",
+        help="bracket engine (default: fast)",
     )
     _add_common(p)
     p.set_defaults(fn=_cmd_bracket)
@@ -449,7 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("cable", help="PD code of a parallel cable")
     p.add_argument("pd", help="PD code, path to one, or - for stdin")
     p.add_argument("--n", type=int, required=True, help="cable width")
-    _add_common(p, engine=False, cap=False)
+    _add_common(p, cap=False)
     p.set_defaults(fn=_cmd_cable)
 
     p = subs.add_parser(
@@ -464,7 +427,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--nmax", type=int, default=None, help="cable width limit"
     )
-    _add_common(p, engine=False, workers=True)
+    p.add_argument(
+        "--workers", type=int, default=1, help="parallel workers"
+    )
+    _add_common(p)
     p.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -96,8 +96,8 @@ class LinkDiagram:
     def _memoize(self, key: tuple, build: Callable[[], T]) -> T:
         """``build()``, computed once per diagram object under ``key``.
 
-        Holds the cables by width, their brackets by engine and limits,
-        and the extreme state graphs by side.  The memo lives and dies
+        Holds the cables by width, their brackets by engine and cap, and
+        the extreme states' ribbon graphs by side.  The memo lives and dies
         with this object: two parses of one code share nothing.
         """
         if key not in self._memo:

@@ -35,7 +35,6 @@ from .diagram import LinkDiagram, cable, writhe
 from .laurent import LaurentPoly, NotDivisibleByFourError
 
 __all__ = [
-    "ChebyshevExpansion",
     "ReducedJones",
     "chebyshev",
     "reduced",
@@ -44,28 +43,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChebyshevExpansion:
-    """Coefficients of a Chebyshev polynomial of the second kind.
-
-    ``coeffs`` lists ``(power, coefficient)`` pairs in increasing power
-    order; powers absent from the list have coefficient zero.  The
-    polynomials satisfy ``S_0 = 1``, ``S_1 = x`` and
-    ``S_{k+1} = x*S_k - S_{k-1}``.
-    """
-
-    n: int
-    coeffs: tuple[tuple[int, int], ...]
-
-    def coeff(self, power: int) -> int:
-        for m, c in self.coeffs:
-            if m == power:
-                return c
-        return 0
-
-
-def chebyshev(n: int) -> ChebyshevExpansion:
-    """Expansion of ``S_n``; powers run through ``n, n-2, n-4, ...``."""
+def chebyshev(n: int) -> dict[int, int]:
+    """``{power: coefficient}`` of the Chebyshev polynomial of the
+    second kind ``S_n``, in increasing power order; absent powers have
+    coefficient zero.  ``S_0 = 1``, ``S_1 = x`` and
+    ``S_{k+1} = x*S_k - S_{k-1}``, so the powers run through
+    ``n, n-2, n-4, ...``."""
     if n < 0:
         raise ValueError("Chebyshev index must be nonnegative")
     prev = {0: 1}
@@ -79,27 +62,26 @@ def chebyshev(n: int) -> ChebyshevExpansion:
                 nxt[m] = nxt.get(m, 0) - c
             prev = cur
             cur = {m: c for m, c in nxt.items() if c}
-    return ChebyshevExpansion(n=n, coeffs=tuple(sorted(cur.items())))
+    return dict(sorted(cur.items()))
 
 
-def _counted_sum(
-    diagram: LinkDiagram, n: int, engine: str, limits: dict
-) -> LaurentPoly:
+def _counted_sum(diagram: LinkDiagram, n: int, cap: int | None) -> LaurentPoly:
     """Chebyshev combination of cable brackets, counted convention.
 
     ``S_n`` with each power ``x**m`` (``m >= 1``) replaced by the
     bracket of the width-``m`` cable and the constant term kept.  No
     writhe correction is applied; this is the raw state sum whose top
     degree the adequacy bounds speak about.  Only the widths that
-    ``S_n`` has (those of ``n``'s parity) are cabled and bracketed.
+    ``S_n`` has (those of ``n``'s parity) are cabled and bracketed,
+    each under the resource ``cap`` of :func:`kauffman.bracket.bracket`.
     """
     if n < 0:
         raise ValueError("cable width must be nonnegative")
     expansion = chebyshev(n)
-    acc = LaurentPoly.const(expansion.coeff(0))
-    for m, c in expansion.coeffs:
+    acc = LaurentPoly.const(expansion.get(0, 0))
+    for m, c in expansion.items():
         if m:
-            value = bracket(cable(diagram, m), engine=engine, **limits)
+            value = bracket(cable(diagram, m), cap=cap)
             acc = acc + LaurentPoly.const(c) * value
     return acc
 
@@ -111,7 +93,7 @@ def _correction(diagram: LinkDiagram, n: int) -> tuple[int, int]:
 
 
 def unreduced(
-    diagram: LinkDiagram, n: int, *, engine: str = "fast", **limits
+    diagram: LinkDiagram, n: int, *, cap: int | None = None
 ) -> LaurentPoly:
     """Writhe-corrected counted-convention evaluation.
 
@@ -120,7 +102,7 @@ def unreduced(
     state graph is loop-free.  Not invariant under kinks; use
     :func:`reduced` for an invariant.
     """
-    raw = _counted_sum(diagram, n, engine, limits)
+    raw = _counted_sum(diagram, n, cap)
     sign, shift = _correction(diagram, n)
     return LaurentPoly.const(sign) * raw.shift(shift)
 
@@ -163,7 +145,7 @@ class ReducedJones:
 
 
 def reduced(
-    diagram: LinkDiagram, n: int, *, engine: str = "fast", **limits
+    diagram: LinkDiagram, n: int, *, cap: int | None = None
 ) -> ReducedJones:
     """Quotient of the scaled-convention value by the unknot reference.
 
@@ -175,8 +157,8 @@ def reduced(
         raise ValueError(
             "the empty diagram has no component to reduce along"
         )
-    counted = _counted_sum(diagram, n, engine, limits)
-    c0 = LaurentPoly.const(chebyshev(n).coeff(0))
+    counted = _counted_sum(diagram, n, cap)
+    c0 = LaurentPoly.const(chebyshev(n).get(0, 0))
     # scaled-convention total: delta * (counted - c0) + c0
     scaled = DELTA * (counted - c0) + c0
     sign, shift = _correction(diagram, n)

@@ -250,6 +250,11 @@ class LaurentPoly:
         """JSON-friendly [[exponent, coefficient], ...], decreasing exponent."""
         return [[e, c] for e, c in self.terms()]
 
+    def to_json(self, var: str = "A") -> dict:
+        """``{"pairs": to_pairs(), "text": to_text(var)}``, the form of
+        a polynomial in every JSON document the package writes."""
+        return {"pairs": self.to_pairs(), "text": self.to_text(var=var)}
+
     def __str__(self) -> str:
         return self.to_text()
 

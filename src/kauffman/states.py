@@ -240,7 +240,9 @@ class RibbonGraph:
 def ribbon_graph(diagram: LinkDiagram, side: str) -> RibbonGraph:
     """The ribbon graph of the all-``side`` state: one vertex per
     circle, one edge per crossing, edge i joining the circles at
-    crossing i's two joins."""
+    crossing i's two joins.  Built once per diagram object and side."""
     # Ribbon dart ids: crossing ci's chord owns darts 2ci (at join 0)
     # and 2ci + 1 (at join 1); flat join index 2ci + j is the dart id.
-    return RibbonGraph(resolve(diagram, side))
+    return diagram._memoize(
+        ("graph", side), lambda: RibbonGraph(resolve(diagram, side))
+    )

@@ -23,13 +23,12 @@ from kauffman.adequacy import (
     h_ceiling,
     is_a_adequate,
     is_b_adequate,
-    state_graph,
 )
 from kauffman.corpus import bundled
 from kauffman.diagram import LinkDiagram, cable, mirror
 from kauffman.jones import unreduced
 from kauffman.laurent import LaurentPoly
-from kauffman.states import ribbon_graph
+from kauffman.states import RibbonGraph, resolve, ribbon_graph
 
 
 @pytest.fixture(scope="session")
@@ -47,18 +46,21 @@ class TestAdequacyFlags:
             assert is_b_adequate(d) == entry.b_adequate, entry.name
 
     def test_state_graph_sides(self, corpus_diagrams):
+        # the battery's state graphs are the memoized ribbon graphs,
+        # built once per diagram object and side
         d = corpus_diagrams["trefoil-left"]
-        assert state_graph(d, "A") == ribbon_graph(d, "A")
-        assert state_graph(d, "B") == ribbon_graph(d, "B")
-        assert state_graph(d, "A") != state_graph(d, "B")
+        for side in "AB":
+            assert ribbon_graph(d, side) is ribbon_graph(d, side)
+            assert ribbon_graph(d, side) == RibbonGraph(resolve(d, side))
+        assert ribbon_graph(d, "A") != ribbon_graph(d, "B")
 
     def test_width_one_cable_shares_the_state_graphs(self, corpus_diagrams):
         for d in corpus_diagrams.values():
-            assert state_graph(cable(d, 1), "A") is state_graph(d, "A")
+            assert ribbon_graph(cable(d, 1), "A") is ribbon_graph(d, "A")
 
     def test_state_graph_bad_side(self, corpus_diagrams):
         with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
-            state_graph(corpus_diagrams["trefoil-left"], "C")
+            ribbon_graph(corpus_diagrams["trefoil-left"], "C")
 
     def test_mirror_swaps_the_two_adequacies(self, corpus_diagrams):
         for d in corpus_diagrams.values():
@@ -257,8 +259,8 @@ class TestNamedChecks:
     def test_adequacy_consistency(self, corpus_diagrams, monkeypatch):
         real = cable_top_coeffs
 
-        def no_tops(diagram, n_max, **limits):
-            tops, nexts = real(diagram, n_max, **limits)
+        def no_tops(diagram, n_max, cap=None):
+            tops, nexts = real(diagram, n_max, cap=cap)
             return {m: 0 for m in tops}, nexts
 
         monkeypatch.setattr(adequacy, "cable_top_coeffs", no_tops)
@@ -267,8 +269,8 @@ class TestNamedChecks:
     def test_deep_vanishing(self, corpus_diagrams, monkeypatch):
         real = cable_top_coeffs
 
-        def surviving_next(diagram, n_max, **limits):
-            tops, nexts = real(diagram, n_max, **limits)
+        def surviving_next(diagram, n_max, cap=None):
+            tops, nexts = real(diagram, n_max, cap=cap)
             return tops, {**nexts, 3: 1}
 
         monkeypatch.setattr(adequacy, "cable_top_coeffs", surviving_next)
@@ -277,9 +279,9 @@ class TestNamedChecks:
     def test_cable_degree_ceiling(self, corpus_diagrams, monkeypatch):
         real = unreduced
 
-        def over_ceiling(diagram, n, **limits):
+        def over_ceiling(diagram, n, cap=None):
             above = LaurentPoly({h_ceiling(diagram, n) + 4: 1})
-            return real(diagram, n, **limits) + above
+            return real(diagram, n, cap=cap) + above
 
         monkeypatch.setattr(adequacy, "unreduced", over_ceiling)
         self._raises(corpus_diagrams["trefoil-left"], "cable-degree-ceiling")

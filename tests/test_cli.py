@@ -99,6 +99,19 @@ class TestExitCodes:
         assert rc == 3
         assert "resource cap exceeded: state sum over 2^3" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["cjones", "--n", "3", "--cap", "5", LH_TREFOIL],
+        ["adequacy", "--cap", "5", LH_TREFOIL],
+    ])
+    def test_state_cap_on_colored_values_is_three(self, capsys, argv):
+        # the colored values and the battery run the sweep, so their
+        # cap is the sweep's live-state budget
+        rc, out, err = run(capsys, *argv)
+        assert rc == 3
+        assert out == ""
+        assert "resource cap exceeded" in err
+        assert "exceed max_states=5" in err
+
     def test_value_error_is_two(self, capsys):
         rc, _, err = run(capsys, "cjones", "--n", "-1", KINK_POS)
         assert rc == 2
@@ -139,6 +152,8 @@ class TestOptionRegistration:
         ["cable", "--n", "2", "--engine", "fast", KINK_POS],
         ["cable", "--n", "2", "--cap", "5", KINK_POS],
         ["verify", "--engine", "fast"],
+        ["cjones", "--n", "1", "--engine", "fast", KINK_POS],
+        ["adequacy", "--engine", "fast", KINK_POS],
     ])
     def test_unregistered_option_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -148,8 +163,7 @@ class TestOptionRegistration:
 
     def test_registered_options_still_parse(self, capsys):
         rc, out, _ = run(
-            capsys, "adequacy", "--engine", "statesum", "--cap", "20",
-            "--nmax", "1", KINK_POS,
+            capsys, "adequacy", "--cap", "20", "--nmax", "1", KINK_POS,
         )
         assert rc == 0
         assert "A-adequate: True" in out
@@ -322,6 +336,32 @@ class TestVerifyCommand:
         payload = json.loads(out1)
         assert payload["ok"] is True
         assert len(payload["entries"]) == 12
+
+    def test_workers_capped_at_the_entry_count(self, capsys, monkeypatch):
+        # a forking pool starts every worker it is asked for, so a large
+        # --workers must not reach it; the fake maps serially
+        asked = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        serial = run(capsys, "verify", "--json", "--nmax", "2")
+        wide = run(
+            capsys, "verify", "--json", "--nmax", "2", "--workers", "1000"
+        )
+        assert asked == [12]
+        assert wide == serial
 
     def test_corpus_file(self, capsys, tmp_path):
         f = tmp_path / "extra.corpus"
