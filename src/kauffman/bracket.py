@@ -197,7 +197,9 @@ def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 20) -> LaurentPoly:
     joins ``(2x, 2x + 1)`` and ``(2y, 2y + 1)``, a present one
     ``(2x, 2y + 1)`` and ``(2y, 2x + 1)``.  Edge ``e`` owns darts
     ``2e, 2e + 1``, so these are the pairs of ends ``4e .. 4e + 3``
-    that crossing ``e``'s A and B joins connect.
+    that crossing ``e``'s A and B joins connect.  Only the graph's
+    rotations are read; the tests hold each subset's face count to
+    :meth:`kauffman.states.RibbonGraph.faces`.
     """
     c = diagram.crossing_count
     if c == 0:

@@ -34,6 +34,7 @@ from .diagram import (
     serialize,
 )
 from .jones import reduced, unreduced
+from .laurent import NotDivisibleByFourError
 
 __all__ = ["main"]
 
@@ -116,20 +117,22 @@ def _cmd_cjones(args) -> int:
         else:
             print(value.to_text())
         return 0
-    result = reduced(diagram, args.n, cap=args.cap)
-    var = "q" if result.in_q else "A"
-    shown = result.q_poly if result.in_q else result.a_poly
+    value = reduced(diagram, args.n, cap=args.cap)
+    try:
+        value, var = value.to_q(), "q"
+    except NotDivisibleByFourError:
+        var = "A"
     if args.json:
         print(_dumps({
             "form": "reduced",
             "pd": serialize(diagram),
-            "q_convertible": result.in_q,
-            "value": shown.to_json(var=var),
+            "q_convertible": var == "q",
+            "value": value.to_json(var=var),
             "variable": var,
             "width": args.n,
         }))
     else:
-        print(result.to_text())
+        print(value.to_text(var=var))
     return 0
 
 

@@ -28,14 +28,11 @@ trefoil is the classical Jones polynomial ``-q**-4 + q**-3 + q**-1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bracket import DELTA, bracket
 from .diagram import LinkDiagram, cable, writhe
-from .laurent import LaurentPoly, NotDivisibleByFourError
+from .laurent import LaurentPoly
 
 __all__ = [
-    "ReducedJones",
     "chebyshev",
     "reduced",
     "unknot_reference",
@@ -119,39 +116,19 @@ def unknot_reference(n: int) -> LaurentPoly:
     return LaurentPoly({2 * n - 4 * j: -1 for j in range(n + 1)})
 
 
-@dataclass(frozen=True)
-class ReducedJones:
-    """Reduced width-``n`` invariant, as an exact quotient.
-
-    ``a_poly`` always holds the quotient in the bracket variable.  When
-    every exponent is divisible by four the substitution ``q = A**-4``
-    lands in integer powers and ``q_poly`` holds the result; otherwise
-    ``q_poly`` is None and only the bracket-variable form is exact
-    (multi-component diagrams routinely land in this case).
-    """
-
-    width: int
-    a_poly: LaurentPoly
-    q_poly: LaurentPoly | None
-
-    @property
-    def in_q(self) -> bool:
-        return self.q_poly is not None
-
-    def to_text(self) -> str:
-        if self.q_poly is not None:
-            return self.q_poly.to_text(var="q")
-        return self.a_poly.to_text(var="A")
-
-
 def reduced(
     diagram: LinkDiagram, n: int, *, cap: int | None = None
-) -> ReducedJones:
-    """Quotient of the scaled-convention value by the unknot reference.
+) -> LaurentPoly:
+    """Quotient of the scaled-convention value by the unknot reference,
+    as a polynomial in the bracket variable ``A``.
 
-    Division is exact for every diagram this package has ever been run
-    on; a failure raises ``InexactDivisionError`` rather than returning
-    an approximation.  The quotient is invariant under adding kinks.
+    The quotient is invariant under adding kinks.  When every exponent
+    is a multiple of four, :meth:`LaurentPoly.to_q` rewrites it in
+    ``q = A**-4``; multi-component diagrams often land outside that
+    case.  Division is exact on knots.  On links it raises
+    ``InexactDivisionError`` at width 3 and up (``cjones --n 3`` on
+    ``overlap-unlink``), because only equal widths are cabled on every
+    component (ROADMAP item 1); it never returns an approximation.
     """
     if diagram.is_empty:
         raise ValueError(
@@ -163,9 +140,4 @@ def reduced(
     scaled = DELTA * (counted - c0) + c0
     sign, shift = _correction(diagram, n)
     corrected = LaurentPoly.const(sign) * scaled.shift(shift)
-    quotient = corrected.exact_div(unknot_reference(n))
-    try:
-        q_poly = quotient.to_q()
-    except NotDivisibleByFourError:
-        q_poly = None
-    return ReducedJones(width=n, a_poly=quotient, q_poly=q_poly)
+    return corrected.exact_div(unknot_reference(n))

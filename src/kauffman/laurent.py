@@ -49,10 +49,6 @@ class LaurentPoly:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
@@ -61,9 +57,6 @@ class LaurentPoly:
         return cls({0: value})
 
     # -- queries ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -98,6 +91,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # a constant equals its integer, so it must hash like one
+        if not self._terms.keys() - {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- ring arithmetic -------------------------------------------------
@@ -164,9 +160,9 @@ class LaurentPoly:
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Divide exactly, raising :class:`InexactDivisionError` on remainder."""
-        if divisor.is_zero():
+        if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self:
             return LaurentPoly()
         remainder = dict(self._terms)
         divisor_top = divisor.max_degree()

@@ -110,11 +110,12 @@ class RibbonGraph:
     """An oriented ribbon graph: a rotation (cyclic dart order) at each
     vertex.  Edge i owns darts 2i and 2i + 1.
 
-    ``bracket_subgraph`` counts faces from the rotations itself; the
-    per-mask walks below are the references the tests hold it to.
+    The adequacy battery reads the counts and the loops, and
+    ``bracket_subgraph`` counts faces from the rotations itself;
+    :meth:`faces` is the per-mask reference the tests hold it to.
     """
 
-    __slots__ = ("rotations", "_vertex_of", "_rot_next")
+    __slots__ = ("rotations", "_vertex_of")
 
     def __init__(self, rotations: tuple[tuple[int, ...], ...]) -> None:
         rotations = tuple(tuple(r) for r in rotations)
@@ -125,24 +126,13 @@ class RibbonGraph:
             raise ValueError("odd number of darts")
         object.__setattr__(self, "rotations", rotations)
         vertex_of = [-1] * len(darts)
-        rot_next = [-1] * len(darts)
         for v, rot in enumerate(rotations):
-            for i, d in enumerate(rot):
+            for d in rot:
                 vertex_of[d] = v
-                rot_next[d] = rot[(i + 1) % len(rot)]
         object.__setattr__(self, "_vertex_of", vertex_of)
-        object.__setattr__(self, "_rot_next", rot_next)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RibbonGraph is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RibbonGraph):
-            return NotImplemented
-        return self.rotations == other.rotations
-
-    def __hash__(self) -> int:
-        return hash(self.rotations)
 
     def __repr__(self) -> str:
         return f"RibbonGraph({self.rotations!r})"
@@ -155,47 +145,23 @@ class RibbonGraph:
     def edge_count(self) -> int:
         return len(self._vertex_of) // 2
 
-    def is_loop(self, edge: int) -> bool:
-        return self._vertex_of[2 * edge] == self._vertex_of[2 * edge + 1]
-
     def loop_mask(self) -> int:
+        """Bit i set when edge i joins a vertex to itself."""
+        vertex_of = self._vertex_of
         mask = 0
         for i in range(self.edge_count):
-            if self.is_loop(i):
+            if vertex_of[2 * i] == vertex_of[2 * i + 1]:
                 mask |= 1 << i
         return mask
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.edge_count) - 1
-
-    def component_count(self, edge_mask: int | None = None) -> int:
-        """Connected components of the spanning subgraph (isolated
-        vertices count).  Used by :meth:`genus`."""
-        if edge_mask is None:
-            edge_mask = self.full_mask
-        parent = list(range(self.vertex_count))
-
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for e in range(self.edge_count):
-            if edge_mask >> e & 1:
-                a, b = find(self._vertex_of[2 * e]), find(self._vertex_of[2 * e + 1])
-                if a != b:
-                    parent[a] = b
-        return len({find(i) for i in range(self.vertex_count)})
-
-    def faces(self, edge_mask: int | None = None) -> int:
+    def faces(self, edge_mask: int) -> int:
         """Boundary components of the spanning subgraph with the given
         edges.  Vertices with no incident present edge contribute one
         face each.  The per-mask reference for ``bracket_subgraph``."""
-        if edge_mask is None:
-            edge_mask = self.full_mask
-        rot_next = self._rot_next
+        rot_next = [-1] * len(self._vertex_of)
+        for rot in self.rotations:
+            for i, d in enumerate(rot):
+                rot_next[d] = rot[(i + 1) % len(rot)]
         present = [False] * len(self._vertex_of)
         for e in range(self.edge_count):
             if edge_mask >> e & 1:
@@ -219,22 +185,6 @@ class RibbonGraph:
                 touched[self._vertex_of[d]] = True
         count += sum(1 for t in touched if not t)
         return count
-
-    def genus(self, edge_mask: int | None = None) -> int:
-        """Genus of the spanning subgraph from its Euler characteristic.
-        Tests check :meth:`faces` against it by the Euler relation."""
-        if edge_mask is None:
-            edge_mask = self.full_mask
-        e = bin(edge_mask).count("1")
-        v = self.vertex_count
-        k = self.component_count(edge_mask)
-        f = self.faces(edge_mask)
-        doubled = 2 * k - v + e - f
-        if doubled < 0 or doubled % 2:
-            raise AssertionError(
-                f"impossible Euler data: k={k} v={v} e={e} f={f}"
-            )
-        return doubled // 2
 
 
 def ribbon_graph(diagram: LinkDiagram, side: str) -> RibbonGraph:

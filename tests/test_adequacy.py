@@ -28,7 +28,7 @@ from kauffman.corpus import bundled
 from kauffman.diagram import LinkDiagram, cable, mirror
 from kauffman.jones import unreduced
 from kauffman.laurent import LaurentPoly
-from kauffman.states import RibbonGraph, resolve, ribbon_graph
+from kauffman.states import resolve, ribbon_graph
 
 
 @pytest.fixture(scope="session")
@@ -51,8 +51,8 @@ class TestAdequacyFlags:
         d = corpus_diagrams["trefoil-left"]
         for side in "AB":
             assert ribbon_graph(d, side) is ribbon_graph(d, side)
-            assert ribbon_graph(d, side) == RibbonGraph(resolve(d, side))
-        assert ribbon_graph(d, "A") != ribbon_graph(d, "B")
+            assert ribbon_graph(d, side).rotations == resolve(d, side)
+        assert ribbon_graph(d, "A").rotations != ribbon_graph(d, "B").rotations
 
     def test_width_one_cable_shares_the_state_graphs(self, corpus_diagrams):
         for d in corpus_diagrams.values():
@@ -180,7 +180,7 @@ class TestTInvariant:
     def test_loopy_unknot_vanishes(self, corpus_diagrams):
         r = analyze(corpus_diagrams["loopy-unknot"], n_max=3)
         assert r.alpha_beta[3] == (0, 0)
-        assert r.t_poly == LaurentPoly.zero()
+        assert r.t_poly == LaurentPoly()
 
 
 class TestBetaPrefix:
@@ -322,12 +322,12 @@ class TestAnalyzeReports:
         assert r.ceilings == {1: 4, 2: 14, 3: 28}
         assert r.actual_degree == {1: 0, 2: 8, 3: 4}
         assert r.cable_top == {1: 0, 2: 0, 3: 0, 4: 0}
-        assert r.t_poly == LaurentPoly.zero()
+        assert r.t_poly == LaurentPoly()
 
     def test_cancelling_kinks(self, reports):
         r = reports["cancelling-kinks"]
         assert (r.a_adequate, r.b_adequate) == (False, False)
-        assert r.t_poly == LaurentPoly.zero()
+        assert r.t_poly == LaurentPoly()
         assert r.beta_series == (0,)
 
     def test_positive_hopf(self, reports):
@@ -362,7 +362,7 @@ class TestAnalyzeReports:
         assert r.cable_top == {1: -1, 2: 0, 3: 0, 4: 0}
         assert r.cable_next == {2: -1, 3: 0, 4: 0}
         assert r.alpha_beta == {2: (0, 1), 3: (0, 0), 4: (0, 0)}
-        assert r.t_poly == LaurentPoly.zero()
+        assert r.t_poly == LaurentPoly()
         assert any("survives despite loops" in note for note in r.notes)
 
     def test_figure_eight(self, reports):
@@ -381,7 +381,7 @@ class TestAnalyzeReports:
         assert r.ceilings == {1: 2, 2: 10, 3: 22}
         assert r.actual_degree == {1: 2, 2: 6, 3: 10}
         assert r.cable_top == {1: -1, 2: 0, 3: 0, 4: 0}
-        assert r.t_poly == LaurentPoly.zero()
+        assert r.t_poly == LaurentPoly()
         assert any("survives despite loops" in note for note in r.notes)
 
     def test_stability_only_breaks_on_the_degenerate_entry(self, reports):

@@ -368,7 +368,7 @@ def _port_walk_circles(diagram, mask):
 def _per_mask_bracket(c, loops_of):
     """Sum A^(c - 2b) * delta^(f - 1) over every mask, b its set bits
     and f = loops_of(mask)."""
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     for mask in range(1 << c):
         b = bin(mask).count("1")
         term = LaurentPoly({c - 2 * b: 1}) * DELTA ** (loops_of(mask) - 1)

@@ -1,13 +1,17 @@
 """Command-line behavior: output forms, exit codes, the verify battery.
 
-Everything drives ``cli.main`` in process, so exit codes and streams
-are observable without spawning an interpreter.  JSON outputs must be
-byte-deterministic: the verify battery is compared across runs and
-across worker counts.
+Everything but ``TestProcess`` drives ``cli.main`` in process, so exit
+codes and streams are observable without spawning an interpreter.
+JSON outputs must be byte-deterministic: the verify battery is
+compared across runs and across worker counts.
 """
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,36 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "missing.tsv" in err
+
+
+class TestProcess:
+    """``python -m kauffman.cli`` as its own process: ``sys.exit(main())``
+    turns the return code into the exit status."""
+
+    SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+    def _spawn(self, *argv):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (self.SRC, env.get("PYTHONPATH")) if p
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "kauffman.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    def test_exit_codes_and_streams(self):
+        ok = self._spawn("bracket", LH_TREFOIL)
+        assert (ok.returncode, ok.stdout, ok.stderr) == (
+            0, "A^7 - A^3 - A^-5\n", ""
+        )
+        bad = self._spawn("bracket", "X[1,2,3]")
+        assert bad.returncode == 2 and bad.stdout == ""
+        assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
+        assert "Traceback" not in bad.stderr
+        capped = self._spawn("bracket", "--cap", "0", KINK_POS)
+        assert capped.returncode == 3 and capped.stdout == ""
+        assert capped.stderr.startswith("resource cap exceeded")
 
 
 class TestOptionRegistration:

@@ -15,15 +15,15 @@ polys = st.dictionaries(
     max_size=6,
 ).map(LaurentPoly)
 
-nonzero_polys = polys.filter(lambda p: not p.is_zero())
+nonzero_polys = polys.filter(bool)
 
 class TestConstruction:
     def test_zero_drops_terms(self):
         assert LaurentPoly({3: 0, 1: 2}) == LaurentPoly({1: 2})
-        assert LaurentPoly({3: 0}).is_zero()
+        assert not LaurentPoly({3: 0})
 
     def test_constructors(self):
-        assert LaurentPoly.zero().is_zero()
+        assert not LaurentPoly()
         assert LaurentPoly.one() == LaurentPoly({0: 1})
         assert LaurentPoly.const(-4) == LaurentPoly({0: -4})
         assert LaurentPoly.const(3).shift(-5) == LaurentPoly({-5: 3})
@@ -33,6 +33,12 @@ class TestConstruction:
         b = LaurentPoly({-2: 1, 2: 1})
         assert a == b and hash(a) == hash(b)
         assert a != LaurentPoly({2: 1})
+        # a constant equals its integer, and hashes like it
+        assert LaurentPoly.const(3) == 3 and hash(LaurentPoly.const(3)) == hash(3)
+        assert LaurentPoly() == 0 and hash(LaurentPoly()) == hash(0)
+        assert len({LaurentPoly.one(), 1}) == 1
+        assert 1 in {LaurentPoly.one()}
+        assert LaurentPoly({1: 1}) != 1
 
 
 class TestDegrees:
@@ -44,9 +50,9 @@ class TestDegrees:
 
     def test_zero_has_no_degree(self):
         with pytest.raises(ValueError, match="zero polynomial"):
-            LaurentPoly.zero().max_degree()
+            LaurentPoly().max_degree()
         with pytest.raises(ValueError, match="zero polynomial"):
-            LaurentPoly.zero().min_degree()
+            LaurentPoly().min_degree()
 
     def test_terms_highest_first(self):
         p = LaurentPoly({-1: 3, 4: 1, 2: -2})
@@ -61,7 +67,7 @@ class TestRingAxioms:
 
     @given(polys)
     def test_additive_identity_and_inverse(self, a):
-        zero = LaurentPoly.zero()
+        zero = LaurentPoly()
         assert a + zero == a
         assert a - a == zero
 
@@ -117,7 +123,7 @@ class TestExactDivision:
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            LaurentPoly.one().exact_div(LaurentPoly.zero())
+            LaurentPoly.one().exact_div(LaurentPoly())
 
 
 class TestConversions:
@@ -133,7 +139,7 @@ class TestConversions:
         delta = LaurentPoly({2: -1, -2: -1})
         cube = delta * delta * delta
         assert cube.to_text() == "-A^6 - 3*A^2 - 3*A^-2 - A^-6"
-        assert LaurentPoly.zero().to_text() == "0"
+        assert LaurentPoly().to_text() == "0"
         assert LaurentPoly({0: -7}).to_text() == "-7"
         assert LaurentPoly({1: 1}).to_text(var="q") == "q"
 
