@@ -21,10 +21,17 @@ Engines:
   They share no code with the sweep.
 * ``bracket_fast``: a sweep that processes one crossing at a time and
   merges partial diagrams with identical open-strand matchings, the
-  gluing of Bar-Natan's "Fast Khovanov homology computations".  A
-  state is keyed by its open boundary alone and its weight is packed
-  into one integer.  The number of live states stays small for cabled
-  diagrams, which is where the exponential engines give out.  Its cost
+  gluing of Bar-Natan's "Fast Khovanov homology computations" (JKTR
+  2007).  A state is keyed by its open boundary alone, one integer of
+  fields that name each open port's partner, so a branch's key is two
+  integer operations on its parent's.  Its weight is packed into one
+  integer, in slots sized by the final bracket, whose coefficients
+  Thistlethwaite's spanning-tree expansion (Topology 26, 1987) bounds,
+  not by the partial sums: packing is a ring homomorphism, so
+  intermediate digits may overflow (:func:`_weight_slots`).  A value
+  that fails the check at ``A = 1`` is never returned.  The number of
+  live states stays small for cabled diagrams, which is where the
+  exponential engines give out.  Its cost
   is set by the crossing order (:func:`_sweep_order`): a greedy one
   that keeps the open boundary small, and where the sweep promises to
   be expensive, the best by score of greedy orders from several start
@@ -34,9 +41,9 @@ Engines:
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 from heapq import heappop, heappush
 from math import comb
-from operator import itemgetter
 
 from kauffman.diagram import LinkDiagram
 from kauffman.laurent import LaurentPoly
@@ -302,44 +309,152 @@ def _sweep_order(diagram: LinkDiagram) -> list[int]:
 
 
 def _frontier_plan(diagram: LinkDiagram, order: list[int]):
-    """The open boundary of every step, built in O(4c) in all.  A port
-    holds a key slot from the step that processes its arc partner's
-    crossing to the step that processes its own; freed slots are reused.
-    Per step: the crossing's first port, its open ports with their
-    slots, the arc partners of its other ports and the open-port count
-    after it.  Also ``slot_of`` (port -> slot) and the key width."""
+    """The open boundary of every step, built in O(4c) in all, and the
+    bits of a key field.
+
+    A port holds a key slot from the step that processes its arc
+    partner's crossing to the step that processes its own; freed slots
+    are reused.  The field of slot ``s`` in a key holds the slot of the
+    open port's partner plus one, and 0 while no port holds ``s``.
+    Per step, with the crossing's ports named 0..3: the mask of the
+    fields it reads; each read port's name and its field's shift; the
+    read ports by field value (their slot plus one); per port the field
+    value of the opened port at the other end of its arc, 0 if none;
+    the bits ``4i + j`` and ``4j + i`` of each arc from port ``i`` back
+    to port ``j``; and, last, the open-port count after the step.
+    """
     partner = diagram.partner
     slot_of = [-1] * len(partner)
     free: list[int] = []
     width = open_ports = 0
-    steps = []
+    raw = []
     for ci in order:
-        ports = range(4 * ci, 4 * ci + 4)
-        reads = tuple((p, slot_of[p]) for p in ports if slot_of[p] >= 0)
-        fixed = {p: partner[p] for p in ports if slot_of[p] < 0}
+        base = 4 * ci
+        reads = [(i, slot_of[base + i]) for i in range(4)
+                 if slot_of[base + i] >= 0]
         free.extend(s for _, s in reads)
-        opened = [q for q in fixed.values() if q >> 2 != ci]
-        for q in opened:
-            slot_of[q] = free.pop() if free else width
-            width = max(width, slot_of[q] + 1)
-        open_ports += len(opened) - len(reads)
-        steps.append((4 * ci, reads, fixed, open_ports))
-    return steps, slot_of, width
+        opened = [0] * 4
+        arcs = 0
+        for i in range(4):
+            q = partner[base + i]
+            if slot_of[base + i] >= 0:
+                continue
+            if q >> 2 == ci:
+                arcs |= 1 << 4 * i + (q & 3)
+                continue
+            s = slot_of[q] = free.pop() if free else width
+            width = max(width, s + 1)
+            opened[i] = s + 1
+            open_ports += 1
+        open_ports -= len(reads)
+        raw.append((reads, opened, arcs, open_ports))
+    bits = width.bit_length()  # a field holds 0..width
+    field = (1 << bits) - 1
+    steps = []
+    for reads, opened, arcs, open_ports in raw:
+        read_mask = 0
+        for _, s in reads:
+            read_mask |= field << (bits * s)
+        shifts = [(i, bits * s) for i, s in reads]
+        local = {s + 1: i for i, s in reads}
+        steps.append((read_mask, shifts, local, opened, arcs, open_ports))
+    return steps, bits
+
+
+# The ports each join connects, by the names 0..3 of the crossing's ports.
+_JOINS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
+
+
+@cache
+def _joins(strands: int) -> tuple:
+    """Per join, the circles it closes and the pairs of ports whose
+    outside ends it links, where bit ``4i + j`` of ``strands`` is set
+    for each strand that runs from port ``i`` of the crossing back to
+    port ``j``: the join's two pairs are spliced into the strands."""
+    ends = [4, 5, 6, 7]  # port i's outside end is named i + 4
+    for b in range(16):
+        if strands >> b & 1:
+            ends[b >> 2] = b & 3
+    out = []
+    for pairs in _JOINS:
+        link = dict(enumerate(ends))
+        loops = 0
+        for p, q in pairs:
+            a, b = link.pop(p), link.pop(q)
+            if a == q:
+                loops += 1
+            else:
+                link[a] = b
+                link[b] = a
+        out.append((loops, tuple(
+            (x - 4, y - 4) for x, y in link.items() if x < y
+        )))
+    return tuple(out)
+
+
+def _move(far: int, step, bits: int) -> list[int]:
+    """What ``step`` of :func:`_frontier_plan` does to every key whose
+    read fields are ``far``: the mask of the fields it keeps, then per
+    join the circles it closes and the fields it sets.
+
+    Both joins re-pair the same slots, the read slots and those of the
+    crossing's outside ends; a read port whose strand returns to the
+    crossing is mapped back to the port at its other end.
+    """
+    read_mask, shifts, local, opened, strands, _ = step
+    field = (1 << bits) - 1
+    ends = opened.copy()  # per port, its outside end's slot plus one
+    clear = read_mask
+    for i, shift in shifts:
+        t = far >> shift & field
+        j = local.get(t)
+        if j is None:
+            ends[i] = t
+            clear |= field << (bits * (t - 1))
+        else:  # j is read too and sets the other bit
+            strands |= 1 << 4 * i + j
+    move = [~clear]
+    for loops, pairs in _joins(strands):
+        vals = 0
+        for i, k in pairs:
+            a = ends[i]
+            b = ends[k]
+            vals |= b << (bits * (a - 1)) | a << (bits * (b - 1))
+        move += loops, vals
+    return move
 
 
 def _weight_slots(c: int) -> tuple[int, int]:
-    """Bits per slot and the slot of ``u**0``: a weight, a Laurent
-    polynomial in ``u = A**2``, is packed as its value at ``u = 2**bits``.
-    After ``k`` crossings it sums at most ``2**k`` terms
-    ``u**(#A) * delta**L``, ``L`` the circles closed.  The diagram is
-    connected, so ``L <= k + 1``: circles, open strands and crossings
-    form a graph with ``2k`` edges, one component per piece of the swept
-    region, and each piece has an open strand until the last step.  So
-    exponents stay at or above ``-(c + 1)``, the offset, and each
-    ``>> bits`` drops an empty slot; coefficients stay within
-    ``2**k * 2**L <= 2**(2c + 1)``, inside balanced ``2c + 3``-bit digits.
+    """Bits per slot and the slot of ``u**0`` of a packed weight.
+
+    A weight, a Laurent polynomial in ``u = A**2``, is packed as
+    ``u**offset`` times it, evaluated at ``u = X = 2**bits``.  That is
+    a ring homomorphism, so ``<< bits``, ``+`` and ``-`` act on packed
+    weights as multiplication by ``u``, addition and subtraction act on
+    polynomials, however large the coefficients grow: a digit may
+    overflow its slot, and nothing reads the digits until the end.
+    ``>> bits`` divides by ``X`` exactly when the packed polynomial
+    lies in ``u * Z[u]``.  The sweep shifts right only inside the factor
+    ``-(u + u**-1)`` of a closed circle, or its square for two, so the
+    product's lowest term is ``u**-1`` (``u**-2``) times the weight's.
+    The product is a sum of terms ``u**(#A) * delta**L`` of states after
+    ``k`` crossings, ``L`` the circles closed, and ``L <= k + 1``
+    because the diagram is connected (circles, open strands and
+    crossings form a graph with ``2k`` edges, one component per piece
+    of the swept region, and each piece has an open strand until the
+    last step).  So its exponents stay at or above ``-(c + 1)``, the
+    offset, and every shift is exact.
+
+    So only the final weight must fit its slots, as balanced digits,
+    and it is ``delta * <D>``.  Thistlethwaite's spanning-tree expansion
+    (Topology 26, 1987) writes ``<D>`` as a sum of one signed monomial
+    per spanning tree of the checkerboard graph ``G`` of ``D``, which
+    has ``c`` edges, so ``||<D>||_1 <= tau(G) < 2**c`` for a connected
+    diagram (:func:`kauffman.diagram.parse_pd` rejects disconnected
+    ones).  Then ``||delta * <D>||_1 < 2**(c + 1)``, inside balanced
+    ``c + 3``-bit digits.
     """
-    return 2 * c + 3, c + 1
+    return c + 3, c + 1
 
 
 def _unpack(packed: int, c: int) -> LaurentPoly:
@@ -364,75 +479,67 @@ def bracket_fast(
     unprocessed crossings whose arcs run into the processed region) and
     a weight packed into one integer (:func:`_weight_slots`); branches
     with the same pairing merge.  The open ports depend only on the
-    step, so a state's key is their partners in a fixed slot order, and
-    every other port keeps its arc partner.  A state meets a step only
-    through the partners of the ports the step reads, so each step
-    resolves its two joins once per distinct such partners and reuses
-    the result for every state that shares them.  A step raises
-    :class:`CapExceeded` once its table outgrows ``max_states``.
+    step and each holds a slot (:func:`_frontier_plan`), so a state's
+    key is one integer of fields, each the slot of its port's partner
+    plus one, and the closed key is 0.  A state meets a step only
+    through the fields the step reads, so each step resolves its two
+    joins once per distinct read fields (:func:`_move`), and a branch
+    key is the state's key masked and or-ed with the join's fields.
+    A step raises :class:`CapExceeded` as soon as its table outgrows
+    ``max_states``.
+
+    At ``A = 1`` the bracket of a diagram of ``mu`` components is
+    ``+-2**(mu - 1)``; a value that fails this, as one from overflowed
+    weights might, raises instead of being returned.
     """
     c = diagram.crossing_count
     if c == 0:
         return _crossingless_value(diagram)
-    steps, slot_of, width = _frontier_plan(diagram, _sweep_order(diagram))
+    steps, field_bits = _frontier_plan(diagram, _sweep_order(diagram))
     bits, offset = _weight_slots(c)
-    closed = (-1,) * width
-    states = {closed: 1 << (bits * offset)}
+    two = 2 * bits
+    states = {0: 1 << (bits * offset)}
 
-    for done, (base, reads, fixed, open_ports) in enumerate(steps, 1):
-        joins = (((base, base + 1), (base + 2, base + 3)),
-                 ((base, base + 3), (base + 1, base + 2)))
-        read_slots = [s for _, s in reads]
-        # the first step reads no port and sees one state
-        far_of = itemgetter(*read_slots) if reads else (lambda key: None)
-        moves: dict = {}  # far partners -> (loops closed, link) per join
-        new_states: dict[tuple, int] = {}
+    for done, step in enumerate(steps, 1):
+        read_mask = step[0]
+        moves: dict[int, list[int]] = {}  # read fields -> move
+        new_states: dict[int, int] = {}
         for key, weight in states.items():
-            far = far_of(key)
+            far = key & read_mask
             move = moves.get(far)
             if move is None:
-                ends = {**fixed, **{p: key[s] for p, s in reads}}
-                move = moves[far] = []
-                for pairs in joins:
-                    link = dict(ends)
-                    loops = 0
-                    for p, q in pairs:
-                        a, b = link.pop(p), link.pop(q)
-                        if a == q:
-                            loops += 1
-                        else:
-                            link[a] = b
-                            link[b] = a
-                    move.append((loops, link))
-            cleared = list(key)
-            for s in read_slots:  # freed; an opened port may take one
-                cleared[s] = -1
+                move = moves[far] = _move(far, step, field_bits)
+            keep, loops_a, vals_a, loops_b, vals_b = move
+            key &= keep
             # The A join multiplies by A = u * A^-1 and the B join by
             # A^-1; the A^-1 of every crossing is put back at the end.
-            w = weight << bits
-            for loops, link in move:
-                for _ in range(loops):  # a closed circle: times -(u + u^-1)
+            for bkey, w, loops in (
+                (key | vals_a, weight << bits, loops_a),
+                (key | vals_b, weight, loops_b),
+            ):
+                if loops == 1:  # times -(u + u^-1)
                     w = -((w << bits) + (w >> bits))
-                branch = cleared.copy()
-                for p, q in link.items():
-                    branch[slot_of[p]] = q
-                bkey = tuple(branch)
+                elif loops:  # times u^2 + 2 + u^-2
+                    w = (w << two) + (w << 1) + (w >> two)
                 prior = new_states.get(bkey)
                 new_states[bkey] = w if prior is None else prior + w
                 if len(new_states) > max_states:
                     raise CapExceeded(
                         f"open-boundary pairings exceed max_states={max_states}",
                         {"crossings_done": done, "crossings_total": c,
-                         "states": len(new_states), "open_ports": open_ports},
+                         "states": len(new_states), "open_ports": step[-1]},
                     )
-                w = weight  # the B join
         states = new_states
 
-    if list(states) != [closed]:
+    if list(states) != [0]:
         raise AssertionError("sweep left open strands")
     # Every closed circle contributed a delta, so this is delta times
     # the normalized bracket.
-    return _unpack(states[closed], c).shift(-c).exact_div(DELTA)
+    value = _unpack(states[0], c).shift(-c).exact_div(DELTA)
+    at_one = sum(k for _, k in value.terms())
+    if abs(at_one) != 2 ** (len(diagram.components) - 1):
+        raise AssertionError("sweep value fails the check at A = 1")
+    return value
 
 
 BRACKET_ENGINES = {

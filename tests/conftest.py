@@ -1,6 +1,7 @@
 import sys
 from itertools import permutations
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -48,3 +49,49 @@ def small_pool():
 def small_diagrams():
     """Exhaustive pool of valid one- and two-crossing diagrams."""
     return small_pool()
+
+
+def braid_closure(strands, word):
+    """The closure of a braid word, letters ``±1 .. ±(strands - 1)``.
+
+    Strands run upward; at letter ``i`` the strand entering bottom-left
+    leaves top-right, over the other one when the letter is positive.
+    Arcs are relabelled consecutively along each component.
+    """
+    pos = list(range(strands))
+    fresh = strands
+    succ = {}
+    raw = []
+    for g in word:
+        i = abs(g) - 1
+        bl, br = pos[i], pos[i + 1]
+        tr, tl = fresh, fresh + 1
+        fresh += 2
+        succ[bl], succ[br] = tr, tl
+        raw.append((br, tr, tl, bl) if g > 0 else (bl, br, tr, tl))
+        pos[i], pos[i + 1] = tl, tr
+    top = {pos[j]: j for j in range(strands)}  # closing strand j
+    succ = {top.get(a, a): top.get(b, b) for a, b in succ.items()}
+    label = {}
+    for start in sorted(succ):
+        arc = start
+        while arc not in label:
+            label[arc] = len(label) + 1
+            arc = succ[arc]
+    return from_slot_tuples(
+        [tuple(label[top.get(a, a)] for a in t) for t in raw]
+    )
+
+
+def seeded_closures(seed, count, crossings=range(4, 11)):
+    """``count`` closures of random words on 3-5 strands, each using
+    every generator so that the closure is connected."""
+    rng = Random(seed)
+    out = []
+    while len(out) < count:
+        strands = rng.choice((3, 4, 5))
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.choice(crossings))]
+        if len({abs(g) for g in word}) == strands - 1:
+            out.append(braid_closure(strands, word))
+    return out

@@ -27,11 +27,11 @@ from kauffman.bracket import (
     _weight_slots,
 )
 from kauffman.diagram import LinkDiagram, cable, from_slot_tuples, mirror
-from kauffman.laurent import LaurentPoly
+from kauffman.laurent import InexactDivisionError, LaurentPoly
 from kauffman.states import ribbon_graph
 
-from conftest import small_pool
-from oracles import oracle_bracket
+from conftest import seeded_closures, small_pool
+from oracles import checkerboard_tree_counts, oracle_bracket
 
 ENGINES = sorted(BRACKET_ENGINES)
 
@@ -249,7 +249,7 @@ def _listed_greedy(diagram):
 
 def _score(diagram, order):
     """Sum over the sweep's steps of 2 ** (open ports after the step)."""
-    steps, _, _ = _frontier_plan(diagram, order)
+    steps, _ = _frontier_plan(diagram, order)
     return sum(1 << open_ports for *_, open_ports in steps)
 
 
@@ -327,10 +327,11 @@ class TestSweepBeyondOracle:
 
     @pytest.mark.parametrize("c", [1, 4, 48])
     def test_packed_weights_round_trip_at_the_bound(self, c):
-        # every coefficient is at most 2^(2c+1) in absolute value and
-        # every u-exponent lies in -(c+1)..2c+1
+        # the final weight, delta times the bracket, has coefficients
+        # of absolute value below 2^(c+1) and u-exponents in
+        # -(c+1)..2c+1; only it is ever unpacked
         bits, offset = _weight_slots(c)
-        bound = 2 ** (2 * c + 1)
+        bound = 2 ** (c + 1) - 1
         exps = range(-(c + 1), 2 * c + 2)
         for coeffs in (
             [bound] * len(exps),
@@ -344,6 +345,83 @@ class TestSweepBeyondOracle:
             assert _unpack(packed, c) == LaurentPoly(
                 {2 * e: k for e, k in zip(exps, coeffs)}
             )
+
+
+def _norm(p):
+    return sum(abs(k) for _, k in p.terms())
+
+
+def _corpus_cables(corpus_diagrams):
+    return [
+        cable(d, width)
+        for d in corpus_diagrams.values()
+        if d.crossing_count
+        for width in (1, 2, 3, 4)
+    ]
+
+
+class TestWeightBound:
+    """The bound on the final bracket that sizes the packed weights'
+    slots, and the sweep under slots narrower than it."""
+
+    def test_norm_within_checkerboard_tree_count(self, corpus_diagrams):
+        # Thistlethwaite: one signed monomial per spanning tree of the
+        # checkerboard graph, and no cancellation on alternating
+        # diagrams.  The all-A state graph would not do: on the listed
+        # code it has 2 spanning trees and the bracket's norm is 4.
+        diagrams = _corpus_cables(corpus_diagrams) + seeded_closures(11, 40)
+        diagrams.append(from_slot_tuples([
+            (5, 10, 6, 9), (6, 4, 7, 3), (7, 2, 8, 1), (2, 3, 1, 8),
+            (4, 10, 5, 9),
+        ]))
+        for d in diagrams:
+            black, white = checkerboard_tree_counts(d)
+            assert black == white  # the two graphs are planar duals
+            norm = _norm(bracket(d))
+            assert norm <= black < 2 ** d.crossing_count, d
+            if all((p ^ q) & 1 for p, q in enumerate(d.partner)):
+                assert norm == black, d  # alternating: over meets under
+
+    def test_slots_need_only_hold_the_final_weight(
+        self, corpus_diagrams, monkeypatch
+    ):
+        # slots two bits wider than the final weight's largest digit;
+        # the intermediate weights of the trefoil cables and of the
+        # width-3 and width-4 figure-eight cables overflow them (up to
+        # 854 against a final 6), and the result stays exact
+        for d in _corpus_cables(corpus_diagrams):
+            expected = bracket_fast(d)
+            top = max(abs(k) for _, k in (DELTA * expected).terms())
+            bits = top.bit_length() + 2
+            monkeypatch.setattr(
+                "kauffman.bracket._weight_slots", lambda c: (bits, c + 1)
+            )
+            assert bracket_fast(d) == expected
+            monkeypatch.undo()
+
+    def test_overflowed_final_weights_never_pass(
+        self, corpus_diagrams, monkeypatch
+    ):
+        # 3-bit slots hold the digits -4..3, too few for the final
+        # weights of several cables: the sweep raises rather than
+        # return a wrong value, and only the check at A = 1 catches the
+        # width-3 Hopf cable
+        cases = [(d, bracket_fast(d)) for d in _corpus_cables(corpus_diagrams)]
+        monkeypatch.setattr(
+            "kauffman.bracket._weight_slots", lambda c: (3, c + 1)
+        )
+        caught_at_one = 0
+        for d, expected in cases:
+            try:
+                value = bracket_fast(d)
+            except InexactDivisionError:
+                continue
+            except AssertionError as err:
+                assert "check at A = 1" in str(err)
+                caught_at_one += 1
+                continue
+            assert value == expected
+        assert caught_at_one >= 1
 
 
 def _port_walk_circles(diagram, mask):

@@ -5,7 +5,9 @@ against the literal state-sum oracle at the bracket level, and for the
 width-1 and width-2 trefoil and figure-eight quotients checked against
 the classically known values.  The width-2 left trefoil quotient is
 the familiar 3-colored value with descending powers
-q^-2 + q^-5 - q^-7 + q^-8 - q^-9 - q^-10 + q^-11.
+q^-2 + q^-5 - q^-7 + q^-8 - q^-9 - q^-10 + q^-11.  Past width 2 the
+trefoils and the figure-eight are held to the closed forms of Masbaum
+and Habiro in ``oracles``.
 """
 
 import pytest
@@ -17,6 +19,8 @@ from kauffman.bracket import DELTA, bracket
 from kauffman.diagram import LinkDiagram, cable, mirror, parse_pd, writhe
 from kauffman.jones import chebyshev, reduced, unknot_reference, unreduced
 from kauffman.laurent import LaurentPoly, NotDivisibleByFourError
+
+from oracles import habiro_figure_eight, masbaum_trefoil
 
 
 def chebyshev_value(n, x):
@@ -248,6 +252,25 @@ class TestReduced:
         # the quotient is a plain polynomial in A; the caller picks q
         r = reduced(corpus_diagrams["trefoil-left"], 1)
         assert isinstance(r, LaurentPoly)
+
+
+class TestClosedForms:
+    """Reduced values against cyclotomic closed forms, which share no
+    code with the cables: Masbaum's for the trefoils, Habiro's for the
+    figure-eight."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize(
+        "name,sign", [("trefoil-left", -1), ("trefoil-right", 1)]
+    )
+    def test_trefoils(self, corpus_diagrams, name, sign, n):
+        r = reduced(corpus_diagrams[name], n)
+        assert r.to_q() == LaurentPoly(masbaum_trefoil(n, sign))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_figure_eight(self, corpus_diagrams, n):
+        r = reduced(corpus_diagrams["figure-eight"], n)
+        assert r.to_q() == LaurentPoly(habiro_figure_eight(n))
 
 
 LINK_WIDTH_DEFECT = pytest.mark.xfail(

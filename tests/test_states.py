@@ -251,7 +251,8 @@ class TestFaceCombinatorics:
                 assert g.vertex_count >= component_count(g, mask) >= 1
 
     def test_euler_formula(self, corpus_diagrams):
-        # v - e + f = 2k - 2g on every spanning subgraph
+        # v - e + f = 2k - 2g on every spanning subgraph, with the
+        # genus read off the chord diagrams, not the face count
         for g in self._graphs(corpus_diagrams):
             for mask in range(1 << g.edge_count):
                 e = bin(mask).count("1")
