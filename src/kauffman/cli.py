@@ -2,12 +2,14 @@
 
 Commands take a PD code either inline, as a path to a file holding one,
 or as ``-`` for standard input; an argument with no ``[`` that is
-neither empty nor only ``O`` loops is read as a path.  Exit codes: 0
-success, 1 a certified invariant failed (the failing check is named on
-stderr), 2 malformed input or a file that cannot be read, 3 a resource
-cap was hit.  With ``--json`` all output is a single canonical JSON
-document (sorted keys, fixed separators), so identical inputs produce
-identical bytes.
+neither empty nor only ``O`` loops is read as a path.  Each command
+returns one JSON document, which ``--json`` prints in canonical form
+(sorted keys, fixed separators, so identical inputs give identical
+bytes) and from which the text form is rendered.  :func:`main` alone
+picks the form and the exit code: 0 success, 1 a certified invariant
+failed (a document with ``"agree": false`` or ``"ok": false`` is
+printed, then the failed check is named on stderr), 2 malformed input
+or a file that cannot be read, 3 a resource cap was hit.
 
 The argument parser is built once per process and shared by every
 :func:`main` call, so a long-lived caller pays for it once.
@@ -24,7 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .adequacy import InvariantViolation, analyze, feasible_width
 from .bracket import BRACKET_ENGINES, CapExceeded, bracket
-from .corpus import CorpusEntry, bundled, load_corpus_file
+from .corpus import bundled, load_corpus_file
 from .diagram import (
     DiagramError,
     LinkDiagram,
@@ -65,75 +67,44 @@ def _every_engine(diagram: LinkDiagram, cap: int | None) -> dict:
     }
 
 
-def _cmd_bracket(args) -> int:
-    diagram = parse_pd(_load_pd(args.pd))
+def _cmd_bracket(diagram: LinkDiagram, args) -> dict:
     if args.selftest:
         values = _every_engine(diagram, args.cap)
-        agree = len(set(values.values())) == 1
-        if args.json:
-            print(_dumps({
-                "agree": agree,
-                "engines": {
-                    k: v.to_json() for k, v in values.items()
-                },
-                "pd": serialize(diagram),
-            }))
-        else:
-            for name, value in values.items():
-                print(f"{name}: {value.to_text()}")
-            print("engines agree" if agree else "ENGINES DISAGREE")
-        if not agree:
-            print(
-                "invariant failure: engine-agreement: bracket engines "
-                "disagree on this input",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
+        return {
+            "agree": len(set(values.values())) == 1,
+            "engines": {k: v.to_json() for k, v in values.items()},
+            "pd": serialize(diagram),
+        }
     value = bracket(diagram, engine=args.engine, cap=args.cap)
-    if args.json:
-        print(_dumps({
-            "bracket": value.to_json(),
-            "engine": args.engine,
-            "pd": serialize(diagram),
-        }))
-    else:
-        print(value.to_text())
-    return 0
+    return {
+        "bracket": value.to_json(),
+        "engine": args.engine,
+        "pd": serialize(diagram),
+    }
 
 
-def _cmd_cjones(args) -> int:
-    diagram = parse_pd(_load_pd(args.pd))
+def _render_bracket(doc: dict) -> str:
+    if "engines" not in doc:
+        return doc["bracket"]["text"]
+    lines = [f"{name}: {v['text']}" for name, v in doc["engines"].items()]
+    lines.append("engines agree" if doc["agree"] else "ENGINES DISAGREE")
+    return "\n".join(lines)
+
+
+def _cmd_cjones(diagram: LinkDiagram, args) -> dict:
+    doc = {"pd": serialize(diagram), "width": args.n}
     if args.unreduced:
-        value = unreduced(diagram, args.n, cap=args.cap)
-        if args.json:
-            print(_dumps({
-                "form": "unreduced",
-                "pd": serialize(diagram),
-                "value": value.to_json(),
-                "variable": "A",
-                "width": args.n,
-            }))
-        else:
-            print(value.to_text())
-        return 0
-    value = reduced(diagram, args.n, cap=args.cap)
-    try:
-        value, var = value.to_q(), "q"
-    except NotDivisibleByFourError:
-        var = "A"
-    if args.json:
-        print(_dumps({
-            "form": "reduced",
-            "pd": serialize(diagram),
-            "q_convertible": var == "q",
-            "value": value.to_json(var=var),
-            "variable": var,
-            "width": args.n,
-        }))
+        value, var = unreduced(diagram, args.n, cap=args.cap), "A"
+        doc["form"] = "unreduced"
     else:
-        print(value.to_text(var=var))
-    return 0
+        value = reduced(diagram, args.n, cap=args.cap)
+        try:
+            value, var = value.to_q(), "q"
+        except NotDivisibleByFourError:
+            var = "A"
+        doc.update(form="reduced", q_convertible=var == "q")
+    doc.update(value=value.to_json(var=var), variable=var)
+    return doc
 
 
 def _render_report(j: dict) -> str:
@@ -167,41 +138,27 @@ def _render_report(j: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_adequacy(args) -> int:
-    diagram = parse_pd(_load_pd(args.pd))
-    report = analyze(
+def _cmd_adequacy(diagram: LinkDiagram, args) -> dict:
+    return analyze(
         diagram, n_max=args.nmax, series=args.series, cap=args.cap
-    )
-    j = report.to_json()
-    if args.json:
-        print(_dumps(j))
-    else:
-        print(_render_report(j))
-    return 0
+    ).to_json()
 
 
-def _cmd_cable(args) -> int:
-    diagram = parse_pd(_load_pd(args.pd))
+def _cmd_cable(diagram: LinkDiagram, args) -> dict:
     cabled = cable(diagram, args.n)
-    if args.json:
-        print(_dumps({
-            "cabled": serialize(cabled),
-            "crossings": cabled.crossing_count,
-            "pd": serialize(diagram),
-            "width": args.n,
-        }))
-    else:
-        print(serialize(cabled))
-    return 0
+    return {
+        "cabled": serialize(cabled),
+        "crossings": cabled.crossing_count,
+        "pd": serialize(diagram),
+        "width": args.n,
+    }
 
 
 def _verify_entry(payload) -> dict:
     """One corpus entry's whole check battery; runs in a worker."""
     name, pd, label_a, label_b, nmax, cap = payload
     checks: list[str] = []
-
-    def done(check: str) -> None:
-        checks.append(check)
+    done = checks.append
 
     def fail(check: str, message: str) -> dict:
         return {
@@ -251,16 +208,12 @@ def _verify_entry(payload) -> dict:
         report = analyze(diagram, n_max=width, name=name, cap=cap)
         done("adequacy-battery")
 
-        if label_a is not None and report.a_adequate != label_a:
-            return fail(
-                "labels",
-                f"stored A-flag {label_a}, computed {report.a_adequate}",
-            )
-        if label_b is not None and report.b_adequate != label_b:
-            return fail(
-                "labels",
-                f"stored B-flag {label_b}, computed {report.b_adequate}",
-            )
+        for side, label, got in (("A", label_a, report.a_adequate),
+                                 ("B", label_b, report.b_adequate)):
+            if label is not None and got != label:
+                return fail(
+                    "labels", f"stored {side}-flag {label}, computed {got}"
+                )
         done("labels")
 
         if report.t_poly is not None:
@@ -294,11 +247,8 @@ def _verify_entry(payload) -> dict:
     return {"checks": checks, "failure": None, "name": name, "ok": True}
 
 
-def _cmd_verify(args) -> int:
-    if args.corpus:
-        entries = load_corpus_file(args.corpus)
-    else:
-        entries = list(bundled())
+def _cmd_verify(diagram: None, args) -> dict:
+    entries = load_corpus_file(args.corpus) if args.corpus else bundled()
     payloads = [
         (e.name, e.pd, e.a_adequate, e.b_adequate, args.nmax, args.cap)
         for e in entries
@@ -311,47 +261,59 @@ def _cmd_verify(args) -> int:
             results = list(pool.map(_verify_entry, payloads))
     else:
         results = [_verify_entry(p) for p in payloads]
-
-    ok = all(r["ok"] for r in results)
-    if args.json:
-        print(_dumps({"entries": results, "ok": ok}))
-    else:
-        for r in results:
-            if r["ok"]:
-                print(f"ok   {r['name']} ({len(r['checks'])} checks)")
-            else:
-                f = r["failure"]
-                print(f"FAIL {r['name']}: {f['check']}: {f['message']}")
-        total = len(results)
-        good = sum(1 for r in results if r["ok"])
-        print(f"verified {total} entries: {good} ok, {total - good} failed")
-    if not ok:
-        first = next(r for r in results if not r["ok"])
-        print(
-            f"invariant failure: {first['failure']['check']} on "
-            f"{first['name']}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return {"entries": results, "ok": all(r["ok"] for r in results)}
 
 
-def _add_common(sub: argparse.ArgumentParser, *, cap: bool = True) -> None:
-    """Register ``--json`` and, unless the subcommand reads no bracket,
-    ``--cap``."""
+def _render_verify(doc: dict) -> str:
+    lines = []
+    for r in doc["entries"]:
+        if r["ok"]:
+            lines.append(f"ok   {r['name']} ({len(r['checks'])} checks)")
+        else:
+            f = r["failure"]
+            lines.append(f"FAIL {r['name']}: {f['check']}: {f['message']}")
+    total = len(doc["entries"])
+    good = sum(1 for r in doc["entries"] if r["ok"])
+    lines.append(f"verified {total} entries: {good} ok, {total - good} failed")
+    return "\n".join(lines)
+
+
+def _failure(doc: dict) -> str | None:
+    """The failed check a document records, as stderr names it: engine
+    disagreement under ``bracket --selftest``, the first failed entry
+    under ``verify``."""
+    if doc.get("agree") is False:
+        return "engine-agreement: bracket engines disagree on this input"
+    if doc.get("ok") is False:
+        first = next(r for r in doc["entries"] if not r["ok"])
+        return f"{first['failure']['check']} on {first['name']}"
+    return None
+
+
+def _command(subs, name: str, fn, render, help: str, *, pd: bool = True,
+             cap: bool = True) -> argparse.ArgumentParser:
+    """Register a subcommand whose handler ``fn`` returns its JSON
+    document and whose text ``render`` builds from that document, with
+    the shared ``pd`` positional unless it reads no diagram, ``--cap``
+    unless it reads no bracket, and ``--json``."""
+    p = subs.add_parser(name, help=help)
+    if pd:
+        p.add_argument("pd", help="PD code, path to one, or - for stdin")
     if cap:
-        sub.add_argument(
+        p.add_argument(
             "--cap",
             type=int,
             default=None,
             help="resource cap: crossing budget for the state-sum and "
             "subgraph engines, state budget for the fast engine",
         )
-    sub.add_argument(
+    p.add_argument(
         "--json",
         action="store_true",
         help="canonical JSON output",
     )
+    p.set_defaults(fn=fn, render=render)
+    return p
 
 
 @functools.cache
@@ -365,10 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser(
-        "bracket", help="bracket polynomial of a PD code"
+    p = _command(
+        subs, "bracket", _cmd_bracket, _render_bracket,
+        "bracket polynomial of a PD code",
     )
-    p.add_argument("pd", help="PD code, path to one, or - for stdin")
     p.add_argument(
         "--selftest",
         action="store_true",
@@ -380,26 +342,22 @@ def _build_parser() -> argparse.ArgumentParser:
         default="fast",
         help="bracket engine (default: fast)",
     )
-    _add_common(p)
-    p.set_defaults(fn=_cmd_bracket)
 
-    p = subs.add_parser(
-        "cjones", help="colored Jones value at a cable width"
+    p = _command(
+        subs, "cjones", _cmd_cjones, lambda doc: doc["value"]["text"],
+        "colored Jones value at a cable width",
     )
-    p.add_argument("pd", help="PD code, path to one, or - for stdin")
     p.add_argument("--n", type=int, required=True, help="cable width")
     p.add_argument(
         "--unreduced",
         action="store_true",
         help="writhe-corrected unreduced value instead of the quotient",
     )
-    _add_common(p)
-    p.set_defaults(fn=_cmd_cjones)
 
-    p = subs.add_parser(
-        "adequacy", help="full adequacy report for a diagram"
+    p = _command(
+        subs, "adequacy", _cmd_adequacy, _render_report,
+        "full adequacy report for a diagram",
     )
-    p.add_argument("pd", help="PD code, path to one, or - for stdin")
     p.add_argument(
         "--nmax", type=int, default=None, help="largest cable width"
     )
@@ -409,18 +367,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="stable-tail coefficients to extract (default 1)",
     )
-    _add_common(p)
-    p.set_defaults(fn=_cmd_adequacy)
 
-    p = subs.add_parser("cable", help="PD code of a parallel cable")
-    p.add_argument("pd", help="PD code, path to one, or - for stdin")
+    p = _command(
+        subs, "cable", _cmd_cable, lambda doc: doc["cabled"],
+        "PD code of a parallel cable", cap=False,
+    )
     p.add_argument("--n", type=int, required=True, help="cable width")
-    _add_common(p, cap=False)
-    p.set_defaults(fn=_cmd_cable)
 
-    p = subs.add_parser(
-        "verify",
-        help="recompute every certified identity over a corpus",
+    p = _command(
+        subs, "verify", _cmd_verify, _render_verify,
+        "recompute every certified identity over a corpus", pd=False,
     )
     p.add_argument(
         "--corpus",
@@ -433,8 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--workers", type=int, default=1, help="parallel workers"
     )
-    _add_common(p)
-    p.set_defaults(fn=_cmd_verify)
 
     return parser
 
@@ -442,10 +396,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except DiagramError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        diagram = parse_pd(_load_pd(args.pd)) if "pd" in args else None
+        doc = args.fn(diagram, args)
     except InvariantViolation as err:
         print(f"invariant failure: {err}", file=sys.stderr)
         return 1
@@ -455,6 +407,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    print(_dumps(doc) if args.json else args.render(doc))
+    failure = _failure(doc)
+    if failure is not None:
+        print(f"invariant failure: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

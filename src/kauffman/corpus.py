@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .diagram import LinkDiagram, parse_pd
-
 __all__ = ["CorpusEntry", "bundled", "load_corpus_file"]
 
 
@@ -24,9 +22,6 @@ class CorpusEntry:
     a_adequate: bool | None = None
     b_adequate: bool | None = None
     notes: str = ""
-
-    def diagram(self) -> LinkDiagram:
-        return parse_pd(self.pd)
 
 
 BUNDLED: tuple[CorpusEntry, ...] = (

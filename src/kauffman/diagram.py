@@ -85,7 +85,6 @@ class LinkDiagram:
     """
 
     crossings: tuple[Crossing, ...]
-    arc_count: int
     components: tuple[tuple[int, ...], ...]
     free_loops: int = 0
     partner: tuple[int, ...] = field(default=(), compare=False, repr=False)
@@ -105,23 +104,18 @@ class LinkDiagram:
         return self._memo[key]
 
     @classmethod
-    def empty(cls) -> "LinkDiagram":
-        return cls(crossings=(), arc_count=0, components=(), free_loops=0)
-
-    @classmethod
     def crossingless(cls, loops: int) -> "LinkDiagram":
         if loops < 0:
             raise InvalidDiagramError("free loop count cannot be negative")
-        return cls(
-            crossings=(),
-            arc_count=0,
-            components=((),) * loops,
-            free_loops=loops,
-        )
+        return cls(crossings=(), components=((),) * loops, free_loops=loops)
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
+
+    @property
+    def arc_count(self) -> int:
+        return 2 * len(self.crossings)
 
     @property
     def negative_count(self) -> int:
@@ -135,7 +129,7 @@ class LinkDiagram:
 def parse_pd(text: str) -> LinkDiagram:
     """Parse PD text such as ``X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]``.
 
-    Empty input yields the empty diagram.  A bare ``O`` token stands
+    Empty input yields the empty diagram, ``crossingless(0)``.  A bare ``O`` token stands
     for one crossingless loop, so ``"O"`` is the 0-crossing unknot and
     ``"O O"`` a crossingless 2-unlink; loops cannot be mixed with
     crossings since the result would be disconnected.  Raises
@@ -161,8 +155,6 @@ def parse_pd(text: str) -> LinkDiagram:
         if any(a < 1 for a in labels):
             raise PDSyntaxError(f"arc labels must be positive: {token!r}")
         tuples.append(labels)  # type: ignore[arg-type]
-    if not tuples and not loops:
-        return LinkDiagram.empty()
     return from_slot_tuples(tuples, free_loops=loops)
 
 
@@ -177,9 +169,7 @@ def from_slot_tuples(
     if not tuples:
         return LinkDiagram.crossingless(free_loops)
 
-    n_cross = len(tuples)
-    arc_count = 2 * n_cross
-    partner = _port_table(tuples, arc_count)
+    partner = _port_table(tuples)
     _check_connected(partner)
     _check_planar(partner)
     components, signs = _trace_components(tuples, partner)
@@ -187,19 +177,14 @@ def from_slot_tuples(
         Crossing(slots=tuple(t), sign=s) for t, s in zip(tuples, signs)
     )
     return LinkDiagram(
-        crossings=crossings,
-        arc_count=arc_count,
-        components=components,
-        free_loops=0,
-        partner=tuple(partner),
+        crossings=crossings, components=components, partner=tuple(partner)
     )
 
 
-def _port_table(
-    tuples: list[tuple[int, int, int, int]], arc_count: int
-) -> list[int]:
+def _port_table(tuples: list[tuple[int, int, int, int]]) -> list[int]:
     """The flat partner table of :class:`LinkDiagram`, after checking
-    that the labels are exactly ``1..arc_count``, each used twice."""
+    that the labels are exactly ``1..2c``, each used twice."""
+    arc_count = 2 * len(tuples)
     occurrences: dict[int, list[int]] = {}
     for ci, slots in enumerate(tuples):
         for si, label in enumerate(slots):
@@ -378,15 +363,16 @@ def writhe(diagram: LinkDiagram) -> int:
 
 
 def mirror(diagram: LinkDiagram) -> LinkDiagram:
-    """Switch every crossing, keeping the projection.
+    """Switch every crossing, keeping the projection and orientation.
 
     The old overstrand becomes the understrand, so each slot tuple is
     rotated to start at the old overstrand's entry slot ``k``, and port
-    ``4*ci + s`` becomes ``4*ci + (s - k) % 4``.  Arcs and components
-    stay, and so do orientations, so every sign flips, except where
-    validation would orient a short component the other way.  The
-    result is built from the diagram's validated data and equals
-    validating the rotated tuples afresh.
+    ``4*ci + s`` becomes ``4*ci + (s - k) % 4``.  Arcs, components and
+    their orientations stay, so every sign flips and ``mirror`` is an
+    involution.  Validating the rotated tuples afresh gives the same
+    diagram except on a link with a component of one or two arcs that
+    passes only under other strands: the PD code leaves that
+    component's orientation open, and validation may pick the reverse.
     """
     if not diagram.crossings:
         return diagram
@@ -398,29 +384,11 @@ def mirror(diagram: LinkDiagram) -> LinkDiagram:
     partner = [0] * len(diagram.partner)
     for p, q in enumerate(diagram.partner):
         partner[moved(p)] = moved(q)
-    signs = [-x.sign for x in diagram.crossings]
-    # Validation orients a component of one or two arcs that no
-    # understrand pins so that its smallest arc enters a passage at the
-    # lower of its two ports (``_trace_components``).  In the mirror
-    # those are the short components that pass only under here; where
-    # the rule reverses one, each crossing it passes flips back.
-    labels = [a for x in diagram.crossings for a in x.slots]
-    for comp in diagram.components:
-        if len(comp) > 2:
-            continue
-        ports = [p for p, a in enumerate(labels) if a in comp]
-        if any(p & 1 for p in ports):
-            continue
-        head = next(p for p in ports if labels[p] == comp[0] and p & 3 == 0)
-        if moved(head) > moved(diagram.partner[head]):
-            for ci in {p >> 2 for p in ports}:
-                signs[ci] = -signs[ci]
     return LinkDiagram(
         crossings=tuple(
-            Crossing(slots=x.slots[k:] + x.slots[:k], sign=sign)
-            for x, k, sign in zip(diagram.crossings, shift, signs)
+            Crossing(slots=x.slots[k:] + x.slots[:k], sign=-x.sign)
+            for x, k in zip(diagram.crossings, shift)
         ),
-        arc_count=diagram.arc_count,
         components=diagram.components,
         partner=tuple(partner),
     )

@@ -8,13 +8,13 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from kauffman.corpus import bundled
-from kauffman.diagram import from_slot_tuples, DiagramError
+from kauffman.diagram import from_slot_tuples, parse_pd, DiagramError
 
 
 @pytest.fixture(scope="session")
 def corpus_diagrams():
     """Name -> parsed diagram for every bundled entry."""
-    return {e.name: e.diagram() for e in bundled()}
+    return {e.name: parse_pd(e.pd) for e in bundled()}
 
 
 def _enumerate_small():

@@ -26,7 +26,7 @@ from kauffman.adequacy import (
 )
 from kauffman.bracket import bracket
 from kauffman.corpus import bundled
-from kauffman.diagram import cable, mirror
+from kauffman.diagram import cable, mirror, parse_pd
 from kauffman.jones import reduced, unreduced
 from kauffman.laurent import LaurentPoly
 from kauffman.states import ribbon_graph
@@ -45,7 +45,7 @@ def cable_data(corpus):
     fast-engine brackets for the tests below, and its top coeffs."""
     data = {}
     for name, entry in corpus.items():
-        d = entry.diagram()
+        d = parse_pd(entry.pd)
         if d.is_empty:
             continue
         top_width = 3 if d.crossing_count <= 3 else 2
@@ -63,7 +63,7 @@ def test_bracket_engines_agree_up_to_twelve_crossings(corpus):
     started = time.monotonic()
     targets = []
     for entry in corpus.values():
-        d = entry.diagram()
+        d = parse_pd(entry.pd)
         targets.append((entry.name, d))
         if 1 <= d.crossing_count <= 3:
             targets.append((entry.name + "^2", cable(d, 2)))
@@ -92,11 +92,11 @@ def test_interleaved_loops_have_genus_one_and_cabled_loops_none(cable_data):
 
 def test_reduced_unknot_is_one_and_kink_invariant(corpus):
     started = time.monotonic()
-    unknot = corpus["unknot-0"].diagram()
+    unknot = parse_pd(corpus["unknot-0"].pd)
     for n in (1, 2, 3, 4):
         assert reduced(unknot, n) == LaurentPoly.one()
     for kink in ("kink-positive", "kink-negative"):
-        d = corpus[kink].diagram()
+        d = parse_pd(corpus[kink].pd)
         for n in (1, 2):
             assert reduced(d, n) == reduced(unknot, n)
     assert time.monotonic() - started < 10
@@ -177,7 +177,7 @@ def test_detector_dichotomy(cable_data):
 
 def test_mirror_dualities(corpus):
     for entry in corpus.values():
-        d = entry.diagram()
+        d = parse_pd(entry.pd)
         assert bracket(mirror(d)) == bracket(d).invert_variable(), entry.name
         assert is_b_adequate(d) == is_a_adequate(mirror(d)), entry.name
 
@@ -199,5 +199,5 @@ def test_every_entry_was_exercised(corpus, cable_data):
     # diagram is the only entry without cables
     assert set(corpus) - set(cable_data) == {"empty"}
     assert len(corpus) == 12
-    widths = {feasible_width(e.diagram()) for e in corpus.values()}
+    widths = {feasible_width(parse_pd(e.pd)) for e in corpus.values()}
     assert widths == {2, 3}

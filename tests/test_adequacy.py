@@ -25,7 +25,7 @@ from kauffman.adequacy import (
     is_b_adequate,
 )
 from kauffman.corpus import bundled
-from kauffman.diagram import LinkDiagram, cable, mirror
+from kauffman.diagram import LinkDiagram, cable, mirror, parse_pd
 from kauffman.jones import unreduced
 from kauffman.laurent import LaurentPoly
 from kauffman.states import resolve, ribbon_graph
@@ -41,7 +41,7 @@ def reports(corpus_diagrams):
 class TestAdequacyFlags:
     def test_corpus_labels(self):
         for entry in bundled():
-            d = entry.diagram()
+            d = parse_pd(entry.pd)
             assert is_a_adequate(d) == entry.a_adequate, entry.name
             assert is_b_adequate(d) == entry.b_adequate, entry.name
 

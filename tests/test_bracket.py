@@ -103,7 +103,7 @@ class TestFrozenValues:
 
 class TestNormalization:
     def test_empty_diagram(self):
-        assert bracket(LinkDiagram.empty()) == LaurentPoly.one()
+        assert bracket(LinkDiagram.crossingless(0)) == LaurentPoly.one()
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5])
     def test_crossingless_unlinks(self, m):

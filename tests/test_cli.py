@@ -136,6 +136,52 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "knot.pd" in err and "malformed" not in err
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_engine_disagreement_is_one(self, capsys, monkeypatch, json_flag):
+        from kauffman import bracket as bracket_module
+        from kauffman.laurent import LaurentPoly
+
+        monkeypatch.setitem(
+            bracket_module.BRACKET_ENGINES, "subgraph",
+            lambda diagram, **limits: LaurentPoly.one(),
+        )
+        rc, out, err = run(capsys, "bracket", "--selftest", *json_flag,
+                           LH_TREFOIL)
+        assert rc == 1
+        if json_flag:
+            assert json.loads(out)["agree"] is False
+            assert '"agree":false' in out
+        else:
+            assert out.endswith("ENGINES DISAGREE\n")
+        assert err == (
+            "invariant failure: engine-agreement: bracket engines "
+            "disagree on this input\n"
+        )
+
+    def test_adequacy_invariant_violation_is_one(self, capsys, monkeypatch):
+        from kauffman.adequacy import InvariantViolation
+
+        def broken(*args, **kwargs):
+            raise InvariantViolation("cable-degree-ceiling", "planted")
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        rc, out, err = run(capsys, "adequacy", LH_TREFOIL)
+        assert rc == 1
+        assert out == ""
+        assert err == "invariant failure: cable-degree-ceiling: planted\n"
+
+    def test_verify_json_on_a_broken_corpus_is_one(self, capsys, tmp_path):
+        f = tmp_path / "broken.corpus"
+        f.write_text(f"not-planar\tX[1,2,1,2]\nfine\t{KINK_POS}\n")
+        rc, out, err = run(
+            capsys, "verify", "--json", "--nmax", "1", "--corpus", str(f)
+        )
+        assert rc == 1
+        payload = json.loads(out)
+        assert payload["ok"] is False
+        assert [e["ok"] for e in payload["entries"]] == [False, True]
+        assert err == "invariant failure: parse on not-planar\n"
+
     def test_missing_corpus_file_is_two(self, capsys, tmp_path):
         missing = tmp_path / "missing.tsv"
         rc, out, err = run(capsys, "verify", "--corpus", str(missing))

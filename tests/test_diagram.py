@@ -49,7 +49,7 @@ class TestParse:
     def test_empty_string_is_empty_diagram(self):
         d = parse_pd("")
         assert d.is_empty
-        assert d == LinkDiagram.empty()
+        assert d == LinkDiagram.crossingless(0)
         assert serialize(d) == ""
 
     def test_whitespace_only_is_empty(self):
@@ -79,7 +79,7 @@ class TestParse:
 
     def test_corpus_round_trips(self):
         for entry in bundled():
-            assert serialize(entry.diagram()) == entry.pd
+            assert serialize(parse_pd(entry.pd)) == entry.pd
 
     def test_token_separation_is_flexible(self):
         a = parse_pd("X[1,1,2,2]")
@@ -151,7 +151,12 @@ class TestParseErrors:
 
 class TestMirror:
     def test_involution_on_corpus(self, corpus_diagrams):
-        for d in corpus_diagrams.values():
+        # the small pool and its cables hold the links whose short
+        # components a fresh validation would orient the other way
+        pool = list(small_pool())
+        pool += [cable(d, n) for d in pool for n in (2, 3)]
+        assert len(pool) == 276
+        for d in [*corpus_diagrams.values(), *pool]:
             assert mirror(mirror(d)) == d
 
     def test_writhe_negates(self, corpus_diagrams):
@@ -172,11 +177,23 @@ class TestMirror:
         for name, expected in cases.items():
             assert serialize(mirror(corpus_diagrams[name])) == expected
 
+    # two-crossing links with a two-arc component that passes only
+    # under the other one in the mirror: the rotated code leaves its
+    # orientation open, and validation picks the reverse of the kept one
+    OPEN_ORIENTATION = {
+        "X[2,3,1,4] X[1,3,2,4]",
+        "X[4,1,3,2] X[3,1,4,2]",
+        "X[2,4,1,3] X[1,4,2,3]",
+        "X[4,2,3,1] X[3,2,4,1]",
+    }
+
     def test_equals_the_parse_of_the_rotated_code(self, corpus_diagrams):
         # mirror builds its result from the diagram's validated data;
-        # validating the rotated slot tuples afresh gives the same one
+        # validating the rotated slot tuples afresh gives the same one,
+        # up to the orientation the code leaves open
         base = [d for d in corpus_diagrams.values() if d.crossings]
         base += [d for d in small_pool() if d.crossings]
+        reoriented = set()
         for d in base + [cable(d, n) for d in base for n in (2, 3)]:
             m = mirror(d)
             expected = from_slot_tuples([
@@ -185,10 +202,12 @@ class TestMirror:
             ])
             assert serialize(m) == serialize(expected)
             assert m.partner == expected.partner
-            assert [x.sign for x in m.crossings] == [
-                x.sign for x in expected.crossings
-            ]
             assert m.components == expected.components
+            signs = [x.sign for x in m.crossings]
+            if signs != [x.sign for x in expected.crossings]:
+                reoriented.add(serialize(d))
+            assert signs == [-x.sign for x in d.crossings]
+        assert reoriented == self.OPEN_ORIENTATION
 
     def test_left_trefoil_mirrors_to_right(self, corpus_diagrams):
         pds = {e.name: e.pd for e in bundled()}
@@ -204,7 +223,7 @@ class TestMirror:
 
 class TestCable:
     def test_width_one_is_identity(self, corpus_diagrams):
-        crossingless = [LinkDiagram.crossingless(2), LinkDiagram.empty()]
+        crossingless = [LinkDiagram.crossingless(2), LinkDiagram.crossingless(0)]
         for d in [*corpus_diagrams.values(), *crossingless]:
             assert cable(d, 1) == d
             assert cable(d, 1) is d
@@ -219,7 +238,7 @@ class TestCable:
 
     def test_crossingless_cables(self):
         assert cable(LinkDiagram.crossingless(2), 3) == LinkDiagram.crossingless(6)
-        assert cable(LinkDiagram.empty(), 5).is_empty
+        assert cable(LinkDiagram.crossingless(0), 5).is_empty
 
     def test_zero_width_rejected(self, corpus_diagrams):
         with pytest.raises(InvalidDiagramError, match="at least 1"):

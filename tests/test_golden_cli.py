@@ -17,6 +17,7 @@ from pathlib import Path
 
 from kauffman import cli
 from kauffman.corpus import bundled
+from kauffman.diagram import parse_pd
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -29,7 +30,7 @@ def commands() -> list[list[str]]:
         for engine in ("fast", "statesum", "subgraph"):
             base.append(["bracket", "--engine", engine, pd])
         base.append(["bracket", "--selftest", pd])
-        if entry.diagram().crossing_count <= 3:
+        if parse_pd(pd).crossing_count <= 3:
             for n in ("1", "2", "3"):
                 base.append(["cjones", "--n", n, pd])
                 base.append(["cjones", "--n", n, "--unreduced", pd])

@@ -246,7 +246,7 @@ class TestReduced:
 
     def test_empty_diagram_rejected(self):
         with pytest.raises(ValueError, match="no component to reduce along"):
-            reduced(LinkDiagram.empty(), 1)
+            reduced(LinkDiagram.crossingless(0), 1)
 
     def test_result_type(self, corpus_diagrams):
         # the quotient is a plain polynomial in A; the caller picks q
