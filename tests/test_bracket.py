@@ -21,6 +21,7 @@ from kauffman.bracket import (
     bracket_fast,
     bracket_statesum,
     bracket_subgraph,
+    _TAIL,
     _frontier_plan,
     _sweep_order,
     _unpack,
@@ -463,6 +464,8 @@ class TestCheckersAgainstPerMaskWalks:
     def _diagrams(corpus_diagrams, small_diagrams):
         crossed = [d for d in corpus_diagrams.values() if d.crossing_count]
         crossed.append(cable(corpus_diagrams["trefoil-left"], 2))
+        # closures past _TAIL + 1 crossings, where the tail is memoized
+        crossed += seeded_closures(5, 3, range(8, 11))
         return crossed + list(small_diagrams)
 
     def test_statesum_equals_the_port_walk(self, corpus_diagrams, small_diagrams):
@@ -481,11 +484,53 @@ class TestCheckersAgainstPerMaskWalks:
             assert bracket_subgraph(d) == expected, d
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, _TAIL + 1, _TAIL + 4])
     def test_kink_chains_close_two_loops_at_once(self, n, sign):
         # the last curl of a chain closes both of its loops in one of
-        # its two joins
+        # its two joins; from _TAIL + 2 curls on, it is in the tail
         d = _kink_chain(n, sign)
         expected = LaurentPoly({3 * sign: -1}) ** n
         assert bracket_statesum(d) == expected
         assert bracket_subgraph(d) == expected
+
+
+def _histograms(diagram, monkeypatch):
+    """The loop histograms that the state sum and the subgraph sum
+    hand to their assembly."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr("kauffman.bracket._assemble", lambda h, c: seen.append(h))
+        bracket_statesum(diagram)
+        bracket_subgraph(diagram)
+    return seen
+
+
+class TestMemoizedTail:
+    """The checkers' enumeration resolves the last ``_TAIL`` crossings
+    once per pairing of their open ends; it must count exactly what
+    the plain enumeration counts."""
+
+    @pytest.mark.parametrize(
+        "seed,count,sizes",
+        [
+            (13, 40, range(8, 17)),
+            # _TAIL + 1 crossings take the plain path, _TAIL + 2 the
+            # first split, with two head crossings
+            (17, 12, [_TAIL + 1]),
+            (17, 12, [_TAIL + 2]),
+            (17, 12, [_TAIL + 3]),
+        ],
+    )
+    def test_checkers_agree_with_the_sweep(self, seed, count, sizes):
+        for d in seeded_closures(seed, count, sizes):
+            expected = bracket_fast(d)
+            assert bracket_statesum(d) == expected, d
+            assert bracket_subgraph(d) == expected, d
+
+    @pytest.mark.parametrize("tail", [1, 3, _TAIL])
+    def test_split_histograms_equal_the_plain_ones(self, tail, monkeypatch):
+        for d in seeded_closures(19, 16, range(9, 13)):
+            monkeypatch.setattr("kauffman.bracket._TAIL", 64)
+            plain = _histograms(d, monkeypatch)
+            monkeypatch.setattr("kauffman.bracket._TAIL", tail)
+            assert _histograms(d, monkeypatch) == plain, d
