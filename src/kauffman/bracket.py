@@ -17,12 +17,11 @@ Engines:
 
   Both enumerate depth first (:func:`_loop_histogram`), splicing one
   crossing or edge at a time into a table of open-strand ends and
-  undoing it on the way back.  The last ``_TAIL`` crossings are
-  enumerated once per pairing of their open ends, which is all they
-  read, and their counts added at every leaf of the first c - _TAIL
-  that leaves that pairing: 2^(c - _TAIL) leaves plus the distinct
-  pairings times 2^_TAIL resolutions, not 2^c.  They share no code
-  with the sweep.
+  undoing it on the way back.  Once the first i crossings are
+  resolved, the rest read only how the table pairs their own ends, so
+  each depth counts the rest once per distinct pairing, which keeps
+  the count exact: the cost is the distinct pairings per depth, not
+  2^c.  They share no code with the sweep.
 * ``bracket_fast``: a sweep that processes one crossing at a time and
   merges partial diagrams with identical open-strand matchings, the
   gluing of Bar-Natan's "Fast Khovanov homology computations" (JKTR
@@ -44,11 +43,11 @@ Engines:
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from functools import cache
 from heapq import heappop, heappush
 from math import comb
-from operator import itemgetter
 
 from kauffman.diagram import LinkDiagram
 from kauffman.laurent import LaurentPoly
@@ -102,116 +101,107 @@ def _assemble(histogram: Counter, crossing_count: int) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
-# Items that :func:`_loop_histogram` enumerates once per pairing of
-# their ends.  Of 4-8, 6 was fastest on 9-14-crossing closures; 8 is
-# about twice as fast at 18-20 crossings.
-_TAIL = 6
+def _loop_histogram(link: list[int]) -> Counter:
+    """Count the resolutions of the crossings by (B joins, closed loops).
 
+    ``link`` pairs the ends of the open strands, four per crossing:
+    ``link[p]`` is the other end of the strand that ends at ``p``.
+    Crossing ``i`` owns ends ``4i .. 4i+3``; its A join (bit 0) joins
+    ``(4i, 4i+1)`` and ``(4i+2, 4i+3)``, its B join (bit 1)
+    ``(4i, 4i+3)`` and ``(4i+1, 4i+2)``.  Joining ``p`` and ``q``
+    closes a loop if they end one strand and otherwise splices two
+    strands into one, which is undone on the way back up, and ``link``
+    is as it was when this returns.
 
-def _loop_histogram(link: list[int], items) -> Counter:
-    """Count the resolutions of ``items`` by (bits set, closed loops).
+    The crossings are resolved depth first in listed order.  Once
+    crossings ``0 .. i-1`` are resolved, every open strand ends at an
+    end of crossings ``i ..``, and resolving those reads and splices
+    ``link`` only there, so their histogram depends only on
+    ``link[4i:]``.  Each depth computes it once per distinct value and
+    looks it up after that, so the cost is two joins per distinct
+    pairing per depth, not 2^c resolutions.
 
-    ``link`` pairs the ends of the open strands: ``link[p]`` is the
-    other end of the strand that ends at ``p``.  Each item is a pair of
-    choices, bit 0 and bit 1, and each choice is the two end pairs it
-    joins; either choice of an item joins its own four ends, and no
-    other item touches them.  The resolutions are enumerated depth
-    first.  Joining ``p`` and ``q`` closes a loop if they end one strand
-    and otherwise splices two strands into one, which is undone on the
-    way back up, and ``link`` is as it was when this returns.
-
-    With more than ``_TAIL + 1`` items, the last ``_TAIL`` are the
-    tail.  Once the head is resolved, every open strand ends at a tail
-    end, and the tail reads and splices ``link`` only there, so its
-    histogram depends only on how ``link`` pairs the tail's ends.  It
-    is enumerated once per distinct pairing and added at each head
-    leaf, so the cost is 2^(n - _TAIL) head leaves plus the distinct
-    pairings times 2^_TAIL resolutions, not 2^n.
+    A histogram is one integer of ``c + 1``-bit slots, enough since no
+    count exceeds ``2**c``: slot ``bits * stride + loops`` holds the
+    count of (bits, loops).  Shifting it adds to the bits or loops of
+    every entry, and histograms add as integers.
     """
-    n = len(items)
-    stride = len(link) // 2 + 1  # a loop uses at least two ends
-    counts = [0] * ((n + 1) * stride)  # at bits * stride + loops
-    # Per item, each choice's ends and what it adds to ``at``.
-    plan = [
-        tuple((p, q, r, s, bit * stride)
-              for bit, ((p, q), (r, s)) in enumerate(item))
-        for item in items
-    ]
-    (lp, lq, _, _, _), (mp, mq, _, _, _) = plan[-1]
-    last = n - 2
-    split = n - _TAIL if n > _TAIL + 1 else 0  # the first tail item
-    tail_key = itemgetter(*(e for item in items[split:]
-                            for pair in item[0] for e in pair))
-    memo: dict[tuple, list[tuple[int, int]]] = {}  # pairing -> histogram
+    c = len(link) // 4
+    # The loops are a resolution's circles (a subgraph's faces are its
+    # state's), at most c + 1 in a connected diagram: circles and
+    # crossings form a connected graph with c edges.
+    stride = c + 2
+    slot = c + 1
+    row = stride * slot  # the slots of one bit count
+    # A key is the pairing as bytes: one per end while end numbers fit
+    # in a byte, four beyond.  Tuple keys would cost memory: CPython
+    # keeps freed short tuples for reuse.
+    freeze = bytes if len(link) <= 256 else (
+        lambda ends: array("I", ends).tobytes())
+    # per depth, pairing -> histogram; past the last crossing, the one
+    # resolution of nothing has no bits and no loops
+    memos: list[dict] = [{} for _ in range(c)] + [{freeze([]): 1}]
+    # Per crossing, each join's two pairs and the shift it adds.
+    plan = [((p, p + 1, p + 2, p + 3, 0), (p, p + 3, p + 1, p + 2, row))
+            for p in range(0, 4 * c, 4)]
 
-    def descend(i: int, at: int, counts: list[int]) -> None:
-        for p, q, r, s, step in plan[i]:
-            here = at + step
+    def descend(i: int) -> int:
+        """The histogram of crossings ``i ..``."""
+        key = freeze(link[4 * i:])
+        memo = memos[i]
+        histogram = memo.get(key)
+        if histogram is not None:
+            return histogram
+        histogram = 0
+        for p, q, r, s, shift in plan[i]:
             a = link[p]
             b = link[q]
             if a == q:
-                here += 1
+                shift += slot
             else:
                 link[a] = b
                 link[b] = a
             x = link[r]
             y = link[s]
             if x == s:
-                here += 1
+                shift += slot
             else:
                 link[x] = y
                 link[y] = x
-            if i == last:
-                # Only the last item's four ends are open, on two
-                # strands: its first join closes both or neither.
-                counts[here + (2 if link[lp] == lq else 1)] += 1
-                counts[here + stride + (2 if link[mp] == mq else 1)] += 1
-            elif i + 1 == split:
-                key = tail_key(link)
-                tail = memo.get(key)
-                if tail is None:
-                    part = [0] * ((_TAIL + 1) * stride)
-                    descend(split, 0, part)
-                    tail = memo[key] = [
-                        (j, k) for j, k in enumerate(part) if k
-                    ]
-                for j, k in tail:
-                    counts[here + j] += k
-            else:
-                descend(i + 1, here, counts)
+            histogram += descend(i + 1) << shift
             if x != s:
                 link[x] = r
                 link[y] = s
             if a != q:
                 link[a] = p
                 link[b] = q
+        memo[key] = histogram
+        return histogram
 
-    if n == 1:
-        counts[2 if link[lp] == lq else 1] += 1
-        counts[stride + (2 if link[mp] == mq else 1)] += 1
-    else:
-        descend(0, 0, counts)
-    return Counter(
-        {divmod(at, stride): count for at, count in enumerate(counts) if count}
-    )
-
-
-def _crossing_joins(c: int):
-    """Per crossing ``i``, the port pairs its A join and its B join
-    connect, with ports ``4i .. 4i+3`` counterclockwise from the
-    incoming understrand."""
-    return [
-        (((p, p + 1), (p + 2, p + 3)), ((p, p + 3), (p + 1, p + 2)))
-        for p in range(0, 4 * c, 4)
-    ]
+    packed = descend(0)
+    mask = (1 << slot) - 1
+    row_mask = (1 << row) - 1
+    counts = Counter()
+    bits = 0
+    while packed:
+        by_loops = packed & row_mask
+        packed >>= row
+        loops = 0
+        while by_loops:
+            if by_loops & mask:
+                counts[bits, loops] = by_loops & mask
+            by_loops >>= slot
+            loops += 1
+        bits += 1
+    return counts
 
 
 def bracket_statesum(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
     """Bracket as the sum over all 2^c states, enumerated depth first
     over the crossings: the open strands start as the diagram's arcs,
-    and each crossing's A or B join splices them (bit 1 is B).  The
-    last ``_TAIL`` crossings are enumerated once per pairing of their
-    ends (:func:`_loop_histogram`)."""
+    and each crossing's A or B join splices them (bit 1 is B).  Each
+    depth counts the crossings below it once per pairing of their ends
+    (:func:`_loop_histogram`)."""
     c = diagram.crossing_count
     if c == 0:
         return _crossingless_value(diagram)
@@ -220,11 +210,11 @@ def bracket_statesum(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
             f"state sum over 2^{c} resolutions exceeds cap {cap}",
             {"crossings": c, "cap": cap},
         )
-    histogram = _loop_histogram(list(diagram.partner), _crossing_joins(c))
+    histogram = _loop_histogram(list(diagram.partner))
     return _assemble(histogram, c)
 
 
-def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 20) -> LaurentPoly:
+def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
     """Bracket as a sum over spanning subgraphs of the all-A ribbon
     graph, one term A^(c - 2e(H)) * delta^(f(H) - 1) per edge subset H.
 
@@ -253,7 +243,7 @@ def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 20) -> LaurentPoly:
         for d, nxt in zip(rot, rot[1:] + rot[:1]):
             corners[2 * d + 1] = 2 * nxt
             corners[2 * nxt] = 2 * d + 1
-    return _assemble(_loop_histogram(corners, _crossing_joins(c)), c)
+    return _assemble(_loop_histogram(corners), c)
 
 
 # Start crossings an order search tries.

@@ -30,6 +30,8 @@ from kauffman.jones import unreduced
 from kauffman.laurent import LaurentPoly
 from kauffman.states import resolve, ribbon_graph
 
+from conftest import seeded_closures
+
 
 @pytest.fixture(scope="session")
 def reports(corpus_diagrams):
@@ -110,6 +112,11 @@ class TestCeilings:
         assert feasible_width(corpus_diagrams["trefoil-left"]) == 3
         assert feasible_width(corpus_diagrams["figure-eight"]) == 2
         assert feasible_width(corpus_diagrams["unknot-0"]) == 3
+
+    def test_feasible_width_from_seven_crossings(self):
+        for d in seeded_closures(41, 6, [6, 7, 9]):
+            expected = 2 if d.crossing_count == 6 else 1
+            assert feasible_width(d) == expected, d
 
 
 class TestCableTopCoeffs:
@@ -275,6 +282,18 @@ class TestNamedChecks:
 
         monkeypatch.setattr(adequacy, "cable_top_coeffs", surviving_next)
         self._raises(corpus_diagrams["loopy-unknot"], "deep-vanishing")
+
+    def test_mirror_adequacy(self, corpus_diagrams, monkeypatch):
+        # a "mirror" that is the diagram itself: the positive kink's
+        # all-B graph has a loop and its all-A graph none
+        monkeypatch.setattr(adequacy, "mirror", lambda diagram: diagram)
+        self._raises(corpus_diagrams["kink-positive"], "mirror-adequacy")
+
+    def test_bracket_degree_window(self, corpus_diagrams, monkeypatch):
+        monkeypatch.setattr(
+            adequacy, "bracket", lambda diagram, **limits: LaurentPoly({99: 1})
+        )
+        self._raises(corpus_diagrams["trefoil-left"], "bracket-degree-window")
 
     def test_cable_degree_ceiling(self, corpus_diagrams, monkeypatch):
         real = unreduced

@@ -21,7 +21,6 @@ from kauffman.bracket import (
     bracket_fast,
     bracket_statesum,
     bracket_subgraph,
-    _TAIL,
     _frontier_plan,
     _sweep_order,
     _unpack,
@@ -464,7 +463,7 @@ class TestCheckersAgainstPerMaskWalks:
     def _diagrams(corpus_diagrams, small_diagrams):
         crossed = [d for d in corpus_diagrams.values() if d.crossing_count]
         crossed.append(cable(corpus_diagrams["trefoil-left"], 2))
-        # closures past _TAIL + 1 crossings, where the tail is memoized
+        # closures of 8-10 crossings, where the memo hits at most depths
         crossed += seeded_closures(5, 3, range(8, 11))
         return crossed + list(small_diagrams)
 
@@ -484,41 +483,30 @@ class TestCheckersAgainstPerMaskWalks:
             assert bracket_subgraph(d) == expected, d
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("n", [1, 2, 5, 9, _TAIL + 1, _TAIL + 4])
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 9, 10])
     def test_kink_chains_close_two_loops_at_once(self, n, sign):
         # the last curl of a chain closes both of its loops in one of
-        # its two joins; from _TAIL + 2 curls on, it is in the tail
+        # its two joins, at the deepest memoized depth
         d = _kink_chain(n, sign)
         expected = LaurentPoly({3 * sign: -1}) ** n
         assert bracket_statesum(d) == expected
         assert bracket_subgraph(d) == expected
 
 
-def _histograms(diagram, monkeypatch):
-    """The loop histograms that the state sum and the subgraph sum
-    hand to their assembly."""
-    seen = []
-    with monkeypatch.context() as m:
-        m.setattr("kauffman.bracket._assemble", lambda h, c: seen.append(h))
-        bracket_statesum(diagram)
-        bracket_subgraph(diagram)
-    return seen
-
-
 class TestMemoizedTail:
-    """The checkers' enumeration resolves the last ``_TAIL`` crossings
-    once per pairing of their open ends; it must count exactly what
-    the plain enumeration counts."""
+    """At every depth the checkers count the crossings below it, the
+    tail, once per pairing of its open ends; they must count exactly
+    what the sweep does, past the 16 crossings the per-mask oracles
+    reach, and past the 64 whose ends a byte key can name."""
 
     @pytest.mark.parametrize(
         "seed,count,sizes",
         [
             (13, 40, range(8, 17)),
-            # _TAIL + 1 crossings take the plain path, _TAIL + 2 the
-            # first split, with two head crossings
-            (17, 12, [_TAIL + 1]),
-            (17, 12, [_TAIL + 2]),
-            (17, 12, [_TAIL + 3]),
+            (17, 12, [7]),
+            (17, 12, [8]),
+            (17, 12, [9]),
+            (23, 16, range(17, 25)),
         ],
     )
     def test_checkers_agree_with_the_sweep(self, seed, count, sizes):
@@ -527,10 +515,29 @@ class TestMemoizedTail:
             assert bracket_statesum(d) == expected, d
             assert bracket_subgraph(d) == expected, d
 
-    @pytest.mark.parametrize("tail", [1, 3, _TAIL])
-    def test_split_histograms_equal_the_plain_ones(self, tail, monkeypatch):
-        for d in seeded_closures(19, 16, range(9, 13)):
-            monkeypatch.setattr("kauffman.bracket._TAIL", 64)
-            plain = _histograms(d, monkeypatch)
-            monkeypatch.setattr("kauffman.bracket._TAIL", tail)
-            assert _histograms(d, monkeypatch) == plain, d
+    def test_width_three_trefoil_cable(self, corpus_diagrams):
+        # 27 crossings, within both checkers' default cap of 28
+        d = cable(corpus_diagrams["trefoil-left"], 3)
+        assert d.crossing_count == 27
+        expected = bracket_fast(d)
+        assert bracket_statesum(d) == expected
+        assert bracket_subgraph(d) == expected
+
+    def test_more_ends_than_a_byte_names(self):
+        # 280 ends: the keys must name ends past 255 exactly; this
+        # closure keeps the memo near 8 MiB, where others of its size
+        # take up to 55
+        (d,) = seeded_closures(31, 1, [70])
+        expected = bracket_fast(d)
+        assert bracket_statesum(d, cap=70) == expected
+        assert bracket_subgraph(d, cap=70) == expected
+
+    def test_one_default_cap(self):
+        # both checkers take up to 28 crossings unless told otherwise
+        (within,) = seeded_closures(31, 1, [28])
+        (over,) = seeded_closures(31, 1, [29])
+        expected = bracket_fast(within)
+        for engine in (bracket_statesum, bracket_subgraph):
+            assert engine(within) == expected
+            with pytest.raises(CapExceeded, match="exceeds cap 28$"):
+                engine(over)

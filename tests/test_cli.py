@@ -6,6 +6,7 @@ JSON outputs must be byte-deterministic: the verify battery is
 compared across runs and across worker counts.
 """
 
+import dataclasses
 import io
 import json
 import os
@@ -15,7 +16,14 @@ from pathlib import Path
 
 import pytest
 
+from kauffman import bracket as bracket_module
 from kauffman import cli
+from kauffman.adequacy import InvariantViolation
+from kauffman.corpus import CorpusEntry
+from kauffman.diagram import serialize
+from kauffman.laurent import LaurentPoly
+
+from conftest import seeded_closures
 
 LH_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 KINK_POS = "X[1,1,2,2]"
@@ -63,6 +71,14 @@ class TestBracketCommand:
         payload = json.loads(out)
         assert payload["agree"] is True
         assert sorted(payload["engines"]) == ["fast", "statesum", "subgraph"]
+
+    def test_selftest_past_twenty_crossings(self, capsys):
+        # both checkers run up to 28 crossings under their default cap
+        (d,) = seeded_closures(37, 1, [24])
+        rc, out, err = run(capsys, "bracket", "--selftest", serialize(d))
+        assert rc == 0
+        assert out.endswith("engines agree\n")
+        assert err == ""
 
 
 class TestInputForms:
@@ -138,9 +154,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_engine_disagreement_is_one(self, capsys, monkeypatch, json_flag):
-        from kauffman import bracket as bracket_module
-        from kauffman.laurent import LaurentPoly
-
         monkeypatch.setitem(
             bracket_module.BRACKET_ENGINES, "subgraph",
             lambda diagram, **limits: LaurentPoly.one(),
@@ -159,8 +172,6 @@ class TestExitCodes:
         )
 
     def test_adequacy_invariant_violation_is_one(self, capsys, monkeypatch):
-        from kauffman.adequacy import InvariantViolation
-
         def broken(*args, **kwargs):
             raise InvariantViolation("cable-degree-ceiling", "planted")
 
@@ -469,3 +480,116 @@ class TestVerifyCommand:
         rc, _, err = run(capsys, "verify", "--corpus", str(f))
         assert rc == 2
         assert "mangled.corpus:1" in err
+
+
+class TestVerifyFailures:
+    """Each check of the verify battery, made to fail: the entry and the
+    document say ``"ok": false`` and name the check, and the exit code
+    is 1."""
+
+    def _failed(self, capsys, *extra, pd=LH_TREFOIL, tmp_path=None):
+        argv = ["verify", "--json", "--nmax", "2", *extra]
+        if tmp_path is not None:
+            f = tmp_path / "one.corpus"
+            f.write_text(f"entry\t{pd}\n")
+            argv += ["--corpus", str(f)]
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        (entry,) = doc["entries"]
+        assert entry["ok"] is False
+        failure = entry["failure"]
+        assert err == (
+            f"invariant failure: {failure['check']} on {entry['name']}\n"
+        )
+        return failure
+
+    @staticmethod
+    def _patch_analyze(monkeypatch, **fields):
+        real = cli.analyze
+
+        def patched(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), **fields)
+
+        monkeypatch.setattr(cli, "analyze", patched)
+
+    def test_engine_agreement(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setitem(
+            bracket_module.BRACKET_ENGINES, "subgraph",
+            lambda diagram, **limits: LaurentPoly.one(),
+        )
+        failure = self._failed(capsys, tmp_path=tmp_path)
+        assert failure["check"] == "engine-agreement"
+        assert failure["message"].startswith("engines disagree: ")
+
+    def test_engine_agreement_on_the_cable(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        real = bracket_module.bracket_subgraph
+        monkeypatch.setitem(
+            bracket_module.BRACKET_ENGINES, "subgraph",
+            lambda diagram, **limits: real(diagram, **limits)
+            if diagram.crossing_count <= 3 else LaurentPoly.one(),
+        )
+        failure = self._failed(capsys, tmp_path=tmp_path)
+        assert failure == {
+            "check": "engine-agreement",
+            "message": "engines disagree on the width-2 cable",
+        }
+
+    def test_mirror_duality(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "mirror", lambda diagram: diagram)
+        failure = self._failed(capsys, tmp_path=tmp_path)
+        assert failure["check"] == "mirror-duality"
+
+    def test_labels(self, capsys, monkeypatch):
+        # the left trefoil is A- and B-adequate
+        monkeypatch.setattr(cli, "bundled", lambda: (
+            CorpusEntry("relabelled", LH_TREFOIL, a_adequate=True,
+                        b_adequate=False),
+        ))
+        failure = self._failed(capsys)
+        assert failure == {
+            "check": "labels",
+            "message": "stored B-flag False, computed True",
+        }
+
+    def test_t_dichotomy(self, capsys, monkeypatch, tmp_path):
+        # an A-adequate diagram with a vanishing detector
+        self._patch_analyze(monkeypatch, t_poly=LaurentPoly())
+        failure = self._failed(capsys, tmp_path=tmp_path)
+        assert failure["check"] == "t-dichotomy"
+
+    @pytest.mark.parametrize(
+        "first,message",
+        [
+            (0, "leading tail coefficient 0 inconsistent with "
+                "A-adequate=True"),
+            (2, "A-adequate entries lead with +-1, got 2"),
+        ],
+    )
+    def test_first_tail_coefficient(
+        self, capsys, monkeypatch, tmp_path, first, message
+    ):
+        self._patch_analyze(monkeypatch, beta_series=(first,))
+        failure = self._failed(capsys, tmp_path=tmp_path)
+        assert failure == {
+            "check": "first-tail-coefficient", "message": message,
+        }
+
+    def test_invariant_violation(self, capsys, monkeypatch, tmp_path):
+        def broken(*args, **kwargs):
+            raise InvariantViolation("adequacy-consistency", "planted")
+
+        monkeypatch.setattr(cli, "analyze", broken)
+        failure = self._failed(capsys, tmp_path=tmp_path)
+        assert failure == {
+            "check": "adequacy-consistency",
+            "message": "adequacy-consistency: planted",
+        }
+
+    def test_resource_cap(self, capsys, tmp_path):
+        failure = self._failed(capsys, "--cap", "2", tmp_path=tmp_path)
+        assert failure["check"] == "resource-cap"
+        assert "exceeds cap 2" in failure["message"]
