@@ -21,7 +21,8 @@ Engines:
   resolved, the rest read only how the table pairs their own ends, so
   each depth counts the rest once per distinct pairing, which keeps
   the count exact: the cost is the distinct pairings per depth, not
-  2^c.  They share no code with the sweep.
+  2^c.  The counts, one packed integer, are read by Horner's rule in
+  delta (:func:`_assemble`).  They share no code with the sweep.
 * ``bracket_fast``: a sweep that processes one crossing at a time and
   merges partial diagrams with identical open-strand matchings, the
   gluing of Bar-Natan's "Fast Khovanov homology computations" (JKTR
@@ -44,7 +45,6 @@ Engines:
 from __future__ import annotations
 
 from array import array
-from collections import Counter
 from functools import cache
 from heapq import heappop, heappush
 from math import comb
@@ -81,27 +81,33 @@ class CapExceeded(RuntimeError):
 def _crossingless_value(diagram: LinkDiagram) -> LaurentPoly:
     if diagram.free_loops == 0:
         return LaurentPoly.one()
-    return _delta_power(diagram.free_loops - 1)
+    return DELTA ** (diagram.free_loops - 1)
 
 
-@cache
-def _delta_power(m: int) -> LaurentPoly:
-    return DELTA ** m
+def _assemble(packed: int, c: int) -> LaurentPoly:
+    """The sum of count * A^(c - 2b) * delta^(f - 1) over the entries
+    (b, f) of a histogram of :func:`_loop_histogram`, read by Horner's
+    rule in delta: from the top loop row down to f = 1, the value so
+    far is multiplied by delta and row f, a polynomial in A, added.
+
+    Every resolution of c >= 1 crossings closes a loop, so row 0 is
+    empty; a count there raises instead of being dropped.
+    """
+    slot = c + 1
+    row = (c + 1) * slot
+    mask = (1 << slot) - 1
+    row_mask = (1 << row) - 1
+    if packed & row_mask:
+        raise AssertionError("a resolution closed no loop")
+    value = LaurentPoly()
+    for loops in range((packed.bit_length() - 1) // row, 0, -1):
+        counts = packed >> (loops * row) & row_mask
+        value = value * DELTA + LaurentPoly(
+            {c - 2 * b: counts >> (b * slot) & mask for b in range(slot)})
+    return value
 
 
-def _assemble(histogram: Counter, crossing_count: int) -> LaurentPoly:
-    """Sum count * A^(c - 2b) * delta^(f - 1) over histogram entries
-    keyed by (b, f)."""
-    acc: dict[int, int] = {}
-    for (b, f), count in histogram.items():
-        shift = crossing_count - 2 * b
-        for exp, coeff in _delta_power(f - 1).terms():
-            key = exp + shift
-            acc[key] = acc.get(key, 0) + coeff * count
-    return LaurentPoly(acc)
-
-
-def _loop_histogram(link: list[int]) -> Counter:
+def _loop_histogram(link: list[int]) -> int:
     """Count the resolutions of the crossings by (B joins, closed loops).
 
     ``link`` pairs the ends of the open strands, four per crossing:
@@ -122,17 +128,19 @@ def _loop_histogram(link: list[int]) -> Counter:
     pairing per depth, not 2^c resolutions.
 
     A histogram is one integer of ``c + 1``-bit slots, enough since no
-    count exceeds ``2**c``: slot ``bits * stride + loops`` holds the
-    count of (bits, loops).  Shifting it adds to the bits or loops of
-    every entry, and histograms add as integers.
+    count exceeds ``2**c``, laid out loops-major: slot
+    ``loops * (c + 1) + bits`` holds the count of resolutions with that
+    many B joins and loops.  Shifting it adds to the bits or loops of
+    every entry, and histograms add as integers.  Returns the
+    histogram of all ``c`` crossings, which :func:`_assemble` reads.
     """
     c = len(link) // 4
-    # The loops are a resolution's circles (a subgraph's faces are its
-    # state's), at most c + 1 in a connected diagram: circles and
-    # crossings form a connected graph with c edges.
-    stride = c + 2
+    # A row holds the counts of one loop count, one slot per bit count
+    # 0..c; rows stack upward, so the loops (a resolution's circles, a
+    # subgraph's faces) need no bound.  A B join adds a slot, a closed
+    # loop a row.
     slot = c + 1
-    row = stride * slot  # the slots of one bit count
+    row = (c + 1) * slot
     # A key is the pairing as bytes: one per end while end numbers fit
     # in a byte, four beyond.  Tuple keys would cost memory: CPython
     # keeps freed short tuples for reuse.
@@ -142,7 +150,7 @@ def _loop_histogram(link: list[int]) -> Counter:
     # resolution of nothing has no bits and no loops
     memos: list[dict] = [{} for _ in range(c)] + [{freeze([]): 1}]
     # Per crossing, each join's two pairs and the shift it adds.
-    plan = [((p, p + 1, p + 2, p + 3, 0), (p, p + 3, p + 1, p + 2, row))
+    plan = [((p, p + 1, p + 2, p + 3, 0), (p, p + 3, p + 1, p + 2, slot))
             for p in range(0, 4 * c, 4)]
 
     def descend(i: int) -> int:
@@ -157,14 +165,14 @@ def _loop_histogram(link: list[int]) -> Counter:
             a = link[p]
             b = link[q]
             if a == q:
-                shift += slot
+                shift += row
             else:
                 link[a] = b
                 link[b] = a
             x = link[r]
             y = link[s]
             if x == s:
-                shift += slot
+                shift += row
             else:
                 link[x] = y
                 link[y] = x
@@ -178,22 +186,7 @@ def _loop_histogram(link: list[int]) -> Counter:
         memo[key] = histogram
         return histogram
 
-    packed = descend(0)
-    mask = (1 << slot) - 1
-    row_mask = (1 << row) - 1
-    counts = Counter()
-    bits = 0
-    while packed:
-        by_loops = packed & row_mask
-        packed >>= row
-        loops = 0
-        while by_loops:
-            if by_loops & mask:
-                counts[bits, loops] = by_loops & mask
-            by_loops >>= slot
-            loops += 1
-        bits += 1
-    return counts
+    return descend(0)
 
 
 def bracket_statesum(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:

@@ -305,7 +305,8 @@ def _command(subs, name: str, fn, render, help: str, *, pd: bool = True,
             type=int,
             default=None,
             help="resource cap: crossing budget for the state-sum and "
-            "subgraph engines, state budget for the fast engine",
+            "subgraph engines, state budget for the fast engine; "
+            "bracket --selftest and verify apply the one number as both",
         )
     p.add_argument(
         "--json",

@@ -8,7 +8,7 @@ an argument (``A`` by default, ``q`` after :meth:`LaurentPoly.to_q`).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 __all__ = ["InexactDivisionError", "LaurentPoly", "NotDivisibleByFourError"]
 
@@ -25,23 +25,19 @@ class LaurentPoly:
     """An immutable Laurent polynomial over the integers.
 
     Internally a dict mapping exponent to coefficient, with zero
-    coefficients never stored.  Supports ring arithmetic, exact division,
-    degree queries and canonical text/JSON rendering.
+    coefficients never stored: the constructor alone drops them, and
+    every operation builds its result through it.  (Exact division
+    also drops them from its working remainder, whose top term ends
+    its loop.)
+    Supports ring arithmetic, exact division, degree queries and
+    canonical text/JSON rendering.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        data: dict[int, int] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for exponent, coefficient in items:
-            if coefficient:
-                merged = data.get(exponent, 0) + coefficient
-                if merged:
-                    data[exponent] = merged
-                else:
-                    del data[exponent]
-        object.__setattr__(self, "_terms", data)
+    def __init__(self, terms: Mapping[int, int] = {}):
+        object.__setattr__(
+            self, "_terms", {e: c for e, c in terms.items() if c})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("LaurentPoly is immutable")
@@ -99,20 +95,15 @@ class LaurentPoly:
     # -- ring arithmetic -------------------------------------------------
 
     def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
         terms = dict(self._terms)
-        for exponent, coefficient in other._terms.items():
-            merged = terms.get(exponent, 0) + coefficient
-            if merged:
-                terms[exponent] = merged
-            else:
-                terms.pop(exponent, None)
-        return _wrap(terms)
+        for exponent, coefficient in _coerce(other)._terms.items():
+            terms[exponent] = terms.get(exponent, 0) + coefficient
+        return LaurentPoly(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return _wrap({e: -c for e, c in self._terms.items()})
+        return LaurentPoly({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return self + (-_coerce(other))
@@ -121,20 +112,13 @@ class LaurentPoly:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        if isinstance(other, int):
-            if not other:
-                return LaurentPoly()
-            return _wrap({e: c * other for e, c in self._terms.items()})
+        other = _coerce(other)
         product: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 exponent = e1 + e2
-                merged = product.get(exponent, 0) + c1 * c2
-                if merged:
-                    product[exponent] = merged
-                else:
-                    del product[exponent]
-        return _wrap(product)
+                product[exponent] = product.get(exponent, 0) + c1 * c2
+        return LaurentPoly(product)
 
     __rmul__ = __mul__
 
@@ -152,11 +136,11 @@ class LaurentPoly:
 
     def shift(self, offset: int) -> "LaurentPoly":
         """Multiply by the variable raised to ``offset``."""
-        return _wrap({e + offset: c for e, c in self._terms.items()})
+        return LaurentPoly({e + offset: c for e, c in self._terms.items()})
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute the variable by its reciprocal (negate exponents)."""
-        return _wrap({-e: c for e, c in self._terms.items()})
+        return LaurentPoly({-e: c for e, c in self._terms.items()})
 
     def exact_div(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Divide exactly, raising :class:`InexactDivisionError` on remainder."""
@@ -198,7 +182,7 @@ class LaurentPoly:
                     remainder.pop(target, None)
             if remainder and max(remainder) >= top:
                 raise InexactDivisionError("division does not terminate")
-        return _wrap(quotient)
+        return LaurentPoly(quotient)
 
     # -- variable change -------------------------------------------------
 
@@ -216,7 +200,7 @@ class LaurentPoly:
                     f"exponent {exponent} is not a multiple of 4"
                 )
             converted[-exponent // 4] = coefficient
-        return _wrap(converted)
+        return LaurentPoly(converted)
 
     # -- rendering -------------------------------------------------------
 
@@ -262,9 +246,3 @@ def _coerce(value: "LaurentPoly | int") -> LaurentPoly:
     if isinstance(value, LaurentPoly):
         return value
     return LaurentPoly({0: value})
-
-
-def _wrap(terms: dict[int, int]) -> LaurentPoly:
-    poly = LaurentPoly.__new__(LaurentPoly)
-    object.__setattr__(poly, "_terms", terms)
-    return poly

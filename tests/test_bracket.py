@@ -21,6 +21,7 @@ from kauffman.bracket import (
     bracket_fast,
     bracket_statesum,
     bracket_subgraph,
+    _assemble,
     _frontier_plan,
     _sweep_order,
     _unpack,
@@ -491,6 +492,12 @@ class TestCheckersAgainstPerMaskWalks:
         expected = LaurentPoly({3 * sign: -1}) ** n
         assert bracket_statesum(d) == expected
         assert bracket_subgraph(d) == expected
+
+    def test_a_resolution_without_a_loop_raises(self):
+        # every resolution of a crossing closes a loop, so a count in
+        # the histogram's row of zero loops is a fault, not a term
+        with pytest.raises(AssertionError, match="closed no loop"):
+            _assemble(1, 1)
 
 
 class TestMemoizedTail:

@@ -19,7 +19,7 @@ import pytest
 from kauffman import bracket as bracket_module
 from kauffman import cli
 from kauffman.adequacy import InvariantViolation
-from kauffman.corpus import CorpusEntry
+from kauffman.corpus import CorpusEntry, load_corpus_file
 from kauffman.diagram import serialize
 from kauffman.laurent import LaurentPoly
 
@@ -480,6 +480,13 @@ class TestVerifyCommand:
         rc, _, err = run(capsys, "verify", "--corpus", str(f))
         assert rc == 2
         assert "mangled.corpus:1" in err
+
+    def test_corpus_entry_without_a_name_is_refused(self, tmp_path):
+        f = tmp_path / "nameless.corpus"
+        f.write_text(f"# a code with no name\n\t{LH_TREFOIL}\n")
+        with pytest.raises(ValueError) as err:
+            load_corpus_file(str(f))
+        assert str(err.value) == f"{f}:2: empty entry name"
 
 
 class TestVerifyFailures:

@@ -22,6 +22,21 @@ class TestConstruction:
         assert LaurentPoly({3: 0, 1: 2}) == LaurentPoly({1: 2})
         assert not LaurentPoly({3: 0})
 
+    def test_no_zero_term_is_stored(self):
+        # the constructor drops zero coefficients, and every operation
+        # builds its result through it
+        p = LaurentPoly({3: 2, -1: -5})
+        assert len(p + (-p)) == 0
+        a = LaurentPoly({1: 1})
+        assert len((a + 1) * (a - 1)) == 2
+        assert len(LaurentPoly({4: 0, 0: 1})) == 1
+
+    def test_immutable(self):
+        p = LaurentPoly({1: 1})
+        with pytest.raises(AttributeError):
+            p._terms = {}
+        assert p == LaurentPoly({1: 1})
+
     def test_constructors(self):
         assert not LaurentPoly()
         assert LaurentPoly.one() == LaurentPoly({0: 1})
@@ -112,6 +127,10 @@ class TestExactDivision:
         p = LaurentPoly({2: 1, 0: 1, -1: 1})
         with pytest.raises(InexactDivisionError):
             p.exact_div(LaurentPoly({1: 1, 0: 1}))
+
+    def test_indivisible_leading_coefficient_raises(self):
+        with pytest.raises(InexactDivisionError, match="not divisible by 3"):
+            LaurentPoly({1: 2}).exact_div(LaurentPoly({0: 3}))
 
     def test_inexact_division_terminates(self):
         # 1 / (A + 1) has an infinite formal expansion in descending
