@@ -22,7 +22,9 @@ Engines:
   each depth counts the rest once per distinct pairing, which keeps
   the count exact: the cost is the distinct pairings per depth, not
   2^c.  The counts, one packed integer, are read by Horner's rule in
-  delta (:func:`_assemble`).  They share no code with the sweep.
+  ``A**-2 * delta`` on one integer, whose digits are decoded once
+  (:func:`_assemble`).  They share no code with the sweep but the
+  digit decoder of :class:`~kauffman.laurent.LaurentPoly`.
 * ``bracket_fast``: a sweep that processes one crossing at a time and
   merges partial diagrams with identical open-strand matchings, the
   gluing of Bar-Natan's "Fast Khovanov homology computations" (JKTR
@@ -32,14 +34,16 @@ Engines:
   integer, in slots sized by the final bracket, whose coefficients
   Thistlethwaite's spanning-tree expansion (Topology 26, 1987) bounds,
   not by the partial sums: packing is a ring homomorphism, so
-  intermediate digits may overflow (:func:`_weight_slots`).  A value
-  that fails the check at ``A = 1`` is never returned.  The number of
-  live states stays small for cabled diagrams, which is where the
-  exponential engines give out.  Its cost
-  is set by the crossing order (:func:`_sweep_order`): a greedy one
-  that keeps the open boundary small, and where the sweep promises to
-  be expensive, the best by score of greedy orders from several start
-  crossings, the score being the sum of 2**(open ports) over the steps.
+  intermediate digits may overflow.  Below ``u**0`` it keeps one slot
+  per circle of the all-B state, the paper's bound on the lowest
+  degree (:func:`_weight_slots`).  A value that fails the check at
+  ``A = 1`` is never returned.  The number of live states stays small
+  for cabled diagrams, which is where the exponential engines give
+  out.  Its cost is set by the crossing order (:func:`_sweep_order`):
+  a greedy one that keeps the open boundary small, and where the sweep
+  promises to be expensive, the best by score of greedy orders from
+  several start crossings, the score being the sum of 2**(open ports)
+  over the steps.
 """
 
 from __future__ import annotations
@@ -87,8 +91,21 @@ def _crossingless_value(diagram: LinkDiagram) -> LaurentPoly:
 def _assemble(packed: int, c: int) -> LaurentPoly:
     """The sum of count * A^(c - 2b) * delta^(f - 1) over the entries
     (b, f) of a histogram of :func:`_loop_histogram`, read by Horner's
-    rule in delta: from the top loop row down to f = 1, the value so
-    far is multiplied by delta and row f, a polynomial in A, added.
+    rule on one integer.
+
+    In ``v = A**-2`` the sum is ``A**c * v**(1 - top) * V(v)`` with
+    ``V = sum of count * v**(b + top - f) * (v * delta)**(f - 1)``,
+    ``top`` the highest loop row, and ``v * delta = -(1 + v**2)`` has no
+    negative power.  So ``V`` is evaluated at ``v = 2**width`` on one
+    integer: from the top row down, the value so far is multiplied by
+    ``v * delta`` and row ``f``, its counts moved into ``width``-bit
+    slots, is added ``top - f`` slots up.  Its balanced digits are read
+    once, at the end.  They fit without a theorem: a count is at most
+    ``2**c``, no resolution closes more than ``c + 1`` loops (loops and
+    crossings form a connected graph with ``c`` edges), and
+    ``(v * delta)**(f - 1)`` has ``2**(f - 1)`` as the sum of its
+    coefficients' sizes, so no coefficient of ``V`` exceeds
+    ``2**c * 2**c`` in size, inside ``2c + 3``-bit digits.
 
     Every resolution of c >= 1 crossings closes a loop, so row 0 is
     empty; a count there raises instead of being dropped.
@@ -99,12 +116,19 @@ def _assemble(packed: int, c: int) -> LaurentPoly:
     row_mask = (1 << row) - 1
     if packed & row_mask:
         raise AssertionError("a resolution closed no loop")
-    value = LaurentPoly()
-    for loops in range((packed.bit_length() - 1) // row, 0, -1):
+    width = 2 * c + 3
+    two = 2 * width
+    top = (packed.bit_length() - 1) // row
+    value = 0
+    for loops in range(top, 0, -1):
+        value = -(value + (value << two))  # times v * delta
         counts = packed >> (loops * row) & row_mask
-        value = value * DELTA + LaurentPoly(
-            {c - 2 * b: counts >> (b * slot) & mask for b in range(slot)})
-    return value
+        shift = (top - loops) * width
+        while counts:
+            value += (counts & mask) << shift
+            counts >>= slot
+            shift += width
+    return LaurentPoly.from_digits(value, width, c + 2 * top - 2, -2)
 
 
 def _loop_histogram(link: list[int]) -> int:
@@ -438,8 +462,27 @@ def _move(far: int, step, bits: int) -> list[int]:
     return move
 
 
-def _weight_slots(c: int) -> tuple[int, int]:
-    """Bits per slot and the slot of ``u**0`` of a packed weight.
+def _all_b_circles(partner: list[int]) -> int:
+    """The circles of the all-B state, traced on the port table: a B
+    join pairs port ``p`` with ``p ^ 3``, and an arc ``p`` with
+    ``partner[p]``."""
+    seen = [False] * len(partner)
+    circles = 0
+    for start in range(len(partner)):
+        if seen[start]:
+            continue
+        circles += 1
+        p = start
+        while not seen[p]:
+            seen[p] = seen[p ^ 3] = True
+            p = partner[p ^ 3]
+    return circles
+
+
+def _weight_slots(c: int, all_b: int) -> tuple[int, int]:
+    """Bits per slot and the slot of ``u**0`` of a packed weight, for
+    a diagram of ``c`` crossings whose all-B state has ``all_b``
+    circles.
 
     A weight, a Laurent polynomial in ``u = A**2``, is packed as
     ``u**offset`` times it, evaluated at ``u = X = 2**bits``.  That is
@@ -451,36 +494,40 @@ def _weight_slots(c: int) -> tuple[int, int]:
     lies in ``u * Z[u]``.  The sweep shifts right only inside the factor
     ``-(u + u**-1)`` of a closed circle, or its square for two, so the
     product's lowest term is ``u**-1`` (``u**-2``) times the weight's.
-    The product is a sum of terms ``u**(#A) * delta**L`` of states after
-    ``k`` crossings, ``L`` the circles closed, and ``L <= k + 1``
-    because the diagram is connected (circles, open strands and
-    crossings form a graph with ``2k`` edges, one component per piece
-    of the swept region, and each piece has an open strand until the
-    last step).  So its exponents stay at or above ``-(c + 1)``, the
-    offset, and every shift is exact.
+    The product is a sum of terms ``u**#A * delta**L`` of partial
+    states ``S``, ``#A`` their A joins and ``L`` their closed circles,
+    so every shift is exact once ``L - #A <= offset`` for all of them.
 
-    So only the final weight must fit its slots, as balanced digits,
-    and it is ``delta * <D>``.  Thistlethwaite's spanning-tree expansion
-    (Topology 26, 1987) writes ``<D>`` as a sum of one signed monomial
-    per spanning tree of the checkerboard graph ``G`` of ``D``, which
-    has ``c`` edges, so ``||<D>||_1 <= tau(G) < 2**c`` for a connected
-    diagram (:func:`kauffman.diagram.parse_pd` rejects disconnected
-    ones).  Then ``||delta * <D>||_1 < 2**(c + 1)``, inside balanced
-    ``c + 3``-bit digits.
+    The offset is ``all_b``.  The closed circles of the all-B partial
+    state are circles of the all-B state, so there ``L - #A <= all_b``.
+    Switching one crossing from B to A is a saddle, which changes the
+    number of closed circles by at most one while it adds an A join, so
+    ``L - #A`` never grows along the switches that reach ``S`` from the
+    all-B partial state.  At the end this is the paper's bound: the
+    lowest degree of the unnormalized bracket is at least
+    ``-c - 2 * all_b + 2``, so ``u**c * delta * <D>``, the final
+    weight, has no term below ``u**-all_b``, and on a chain of negative
+    curls it reaches that term.
+
+    So only the final weight must fit its slots, as balanced digits.
+    Thistlethwaite's spanning-tree expansion (Topology 26, 1987) writes
+    ``<D>`` as a sum of one signed monomial per spanning tree of the
+    checkerboard graph ``G`` of ``D``, which has ``c`` edges, so
+    ``||<D>||_1 <= tau(G) < 2**c`` for a connected diagram
+    (:func:`kauffman.diagram.parse_pd` rejects disconnected ones).  Then
+    ``||delta * <D>||_1 < 2**(c + 1)``, inside balanced ``c + 3``-bit
+    digits.
     """
-    return c + 3, c + 1
+    return c + 3, all_b
 
 
-def _unpack(packed: int, c: int) -> LaurentPoly:
-    """The weight that ``packed`` encodes, as a polynomial in ``A``."""
-    bits, offset = _weight_slots(c)
-    half = 1 << (bits - 1)
-    terms = {}  # slot j holds u**(j - offset)
-    while packed:
-        digit = ((packed + half) & (2 * half - 1)) - half
-        terms[2 * (len(terms) - offset)] = digit
-        packed = (packed - digit) >> bits
-    return LaurentPoly(terms)
+def _cap_exceeded(max_states, done, c, states, step) -> CapExceeded:
+    """The error of a sweep whose table outgrew ``max_states``."""
+    return CapExceeded(
+        f"open-boundary pairings exceed max_states={max_states}",
+        {"crossings_done": done, "crossings_total": c,
+         "states": states, "open_ports": step[-1]},
+    )
 
 
 def bracket_fast(
@@ -491,7 +538,8 @@ def bracket_fast(
 
     A partial computation is a pairing of the open ports (ports of
     unprocessed crossings whose arcs run into the processed region) and
-    a weight packed into one integer (:func:`_weight_slots`); branches
+    a weight packed into one integer, with room below ``u**0`` for the
+    all-B state's circles and no more (:func:`_weight_slots`); branches
     with the same pairing merge.  The open ports depend only on the
     step and each holds a slot (:func:`_frontier_plan`), so a state's
     key is one integer of fields, each the slot of its port's partner
@@ -510,14 +558,16 @@ def bracket_fast(
     if c == 0:
         return _crossingless_value(diagram)
     steps, field_bits = _frontier_plan(diagram, _sweep_order(diagram))
-    bits, offset = _weight_slots(c)
+    bits, offset = _weight_slots(c, _all_b_circles(diagram.partner))
     two = 2 * bits
+    three = 3 * bits
     states = {0: 1 << (bits * offset)}
 
     for done, step in enumerate(steps, 1):
         read_mask = step[0]
         moves: dict[int, list[int]] = {}  # read fields -> move
         new_states: dict[int, int] = {}
+        get = new_states.get
         for key, weight in states.items():
             far = key & read_mask
             move = moves.get(far)
@@ -527,29 +577,38 @@ def bracket_fast(
             key &= keep
             # The A join multiplies by A = u * A^-1 and the B join by
             # A^-1; the A^-1 of every crossing is put back at the end.
-            for bkey, w, loops in (
-                (key | vals_a, weight << bits, loops_a),
-                (key | vals_b, weight, loops_b),
-            ):
-                if loops == 1:  # times -(u + u^-1)
-                    w = -((w << bits) + (w >> bits))
-                elif loops:  # times u^2 + 2 + u^-2
-                    w = (w << two) + (w << 1) + (w >> two)
-                prior = new_states.get(bkey)
-                new_states[bkey] = w if prior is None else prior + w
-                if len(new_states) > max_states:
-                    raise CapExceeded(
-                        f"open-boundary pairings exceed max_states={max_states}",
-                        {"crossings_done": done, "crossings_total": c,
-                         "states": len(new_states), "open_ports": step[-1]},
-                    )
+            # A closed circle multiplies by -(u + u^-1), two by
+            # u^2 + 2 + u^-2.
+            bkey = key | vals_a
+            if loops_a == 1:
+                w = -((weight << two) + weight)
+            elif loops_a:
+                w = (weight << three) + (weight << bits + 1) + (weight >> bits)
+            else:
+                w = weight << bits
+            prior = get(bkey)
+            new_states[bkey] = w if prior is None else prior + w
+            if len(new_states) > max_states:
+                raise _cap_exceeded(max_states, done, c, len(new_states), step)
+            bkey = key | vals_b
+            if loops_b == 1:
+                w = -((weight << bits) + (weight >> bits))
+            elif loops_b:
+                w = (weight << two) + (weight << 1) + (weight >> two)
+            else:
+                w = weight
+            prior = get(bkey)
+            new_states[bkey] = w if prior is None else prior + w
+            if len(new_states) > max_states:
+                raise _cap_exceeded(max_states, done, c, len(new_states), step)
         states = new_states
 
     if list(states) != [0]:
         raise AssertionError("sweep left open strands")
     # Every closed circle contributed a delta, so this is delta times
-    # the normalized bracket.
-    value = _unpack(states[0], c).shift(-c).exact_div(DELTA)
+    # the normalized bracket; slot j holds A^(2j - 2 offset - c).
+    value = LaurentPoly.from_digits(
+        states[0], bits, -2 * offset - c, 2).exact_div(DELTA)
     at_one = sum(k for _, k in value.terms())
     if abs(at_one) != 2 ** (len(diagram.components) - 1):
         raise AssertionError("sweep value fails the check at A = 1")

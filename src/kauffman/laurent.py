@@ -52,6 +52,26 @@ class LaurentPoly:
     def const(cls, value: int) -> "LaurentPoly":
         return cls({0: value})
 
+    @classmethod
+    def from_digits(
+        cls, packed: int, bits: int, start: int, step: int
+    ) -> "LaurentPoly":
+        """The polynomial whose coefficient at ``start + j * step`` is
+        digit ``j`` of ``packed`` in balanced base ``2**bits``, digit 0
+        lowest.  A polynomial with integer coefficients, evaluated at
+        ``2**bits``, decodes back exactly when every coefficient lies
+        in ``-2**(bits - 1) .. 2**(bits - 1) - 1``."""
+        half = 1 << (bits - 1)
+        mask = 2 * half - 1
+        terms = {}
+        exponent = start
+        while packed:
+            digit = ((packed + half) & mask) - half
+            terms[exponent] = digit
+            packed = (packed - digit) >> bits
+            exponent += step
+        return cls(terms)
+
     # -- queries ---------------------------------------------------------
 
     def __bool__(self) -> bool:

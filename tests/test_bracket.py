@@ -21,10 +21,10 @@ from kauffman.bracket import (
     bracket_fast,
     bracket_statesum,
     bracket_subgraph,
+    _all_b_circles,
     _assemble,
     _frontier_plan,
     _sweep_order,
-    _unpack,
     _weight_slots,
 )
 from kauffman.diagram import LinkDiagram, cable, from_slot_tuples, mirror
@@ -318,9 +318,10 @@ class TestSweepBeyondOracle:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_kink_chains(self, n, sign):
-        # the all-B state of a chain of negative curls has n + 1 circles
-        # and no A join, so its weight reaches u^-(n+1), the lowest
-        # exponent the packed weights make room for
+        # the all-B state of a chain of negative curls has n + 1
+        # circles and no A join, so its weight reaches u^-(n+1) with
+        # v_B = n + 1 exactly: the tight case of the offset, whose
+        # packed weights have no slot below u^-v_B
         d = _kink_chain(n, sign)
         assert d.crossing_count == n
         assert all(x.sign == sign for x in d.crossings)
@@ -330,22 +331,39 @@ class TestSweepBeyondOracle:
     def test_packed_weights_round_trip_at_the_bound(self, c):
         # the final weight, delta times the bracket, has coefficients
         # of absolute value below 2^(c+1) and u-exponents in
-        # -(c+1)..2c+1; only it is ever unpacked
-        bits, offset = _weight_slots(c)
+        # -v_B..2c+1, with 1 <= v_B <= c + 1; only it is ever
+        # unpacked, read as the sweep does
         bound = 2 ** (c + 1) - 1
-        exps = range(-(c + 1), 2 * c + 2)
-        for coeffs in (
-            [bound] * len(exps),
-            [-bound] * len(exps),
-            [(-1) ** j * bound for j in range(len(exps))],
-            [(-1) ** j * (bound - j) for j in range(len(exps))],
-        ):
-            packed = sum(
-                k << (bits * (e + offset)) for e, k in zip(exps, coeffs)
-            )
-            assert _unpack(packed, c) == LaurentPoly(
-                {2 * e: k for e, k in zip(exps, coeffs)}
-            )
+        for all_b in sorted({1, c // 2 + 1, c + 1}):
+            bits, offset = _weight_slots(c, all_b)
+            assert offset == all_b
+            exps = range(-all_b, 2 * c + 2)
+            for coeffs in (
+                [bound] * len(exps),
+                [-bound] * len(exps),
+                [(-1) ** j * bound for j in range(len(exps))],
+                [(-1) ** j * (bound - j) for j in range(len(exps))],
+            ):
+                packed = sum(
+                    k << (bits * (e + offset)) for e, k in zip(exps, coeffs)
+                )
+                assert LaurentPoly.from_digits(
+                    packed, bits, -2 * offset, 2
+                ) == LaurentPoly({2 * e: k for e, k in zip(exps, coeffs)})
+
+    def test_all_b_circles_match_the_ribbon_graph(self, corpus_diagrams):
+        # the sweep's offset, traced on the port table, against the
+        # all-B state's circles as the ribbon graph resolves them
+        diagrams = [
+            cable(d, width)
+            for d in corpus_diagrams.values()
+            if d.crossing_count
+            for width in (1, 2, 3, 4, 5)
+        ] + seeded_closures(11, 40)
+        for d in diagrams:
+            assert _all_b_circles(d.partner) == ribbon_graph(
+                d, "B"
+            ).vertex_count, d
 
 
 def _norm(p):
@@ -395,7 +413,8 @@ class TestWeightBound:
             top = max(abs(k) for _, k in (DELTA * expected).terms())
             bits = top.bit_length() + 2
             monkeypatch.setattr(
-                "kauffman.bracket._weight_slots", lambda c: (bits, c + 1)
+                "kauffman.bracket._weight_slots",
+                lambda c, all_b: (bits, all_b),
             )
             assert bracket_fast(d) == expected
             monkeypatch.undo()
@@ -409,7 +428,7 @@ class TestWeightBound:
         # width-3 Hopf cable
         cases = [(d, bracket_fast(d)) for d in _corpus_cables(corpus_diagrams)]
         monkeypatch.setattr(
-            "kauffman.bracket._weight_slots", lambda c: (3, c + 1)
+            "kauffman.bracket._weight_slots", lambda c, all_b: (3, all_b)
         )
         caught_at_one = 0
         for d, expected in cases:
@@ -492,6 +511,18 @@ class TestCheckersAgainstPerMaskWalks:
         expected = LaurentPoly({3 * sign: -1}) ** n
         assert bracket_statesum(d) == expected
         assert bracket_subgraph(d) == expected
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 6, 13, 28])
+    def test_histogram_at_the_digit_bound(self, c):
+        # all 2^c resolutions at one (b, f = c + 1): the readout's
+        # digits reach 2^c * C(c, c // 2), and the sum of their sizes
+        # 2^c * 2^c, the bound its slots are sized by
+        slot = c + 1
+        row = slot * slot
+        for b in sorted({0, c // 2, c}):
+            packed = 2**c << (c + 1) * row + b * slot
+            expected = LaurentPoly({c - 2 * b: 2**c}) * DELTA**c
+            assert _assemble(packed, c) == expected
 
     def test_a_resolution_without_a_loop_raises(self):
         # every resolution of a crossing closes a loop, so a count in

@@ -43,6 +43,14 @@ class TestConstruction:
         assert LaurentPoly.const(-4) == LaurentPoly({0: -4})
         assert LaurentPoly.const(3).shift(-5) == LaurentPoly({-5: 3})
 
+    @given(polys, st.sampled_from([1, -1]))
+    def test_from_digits_reads_balanced_digits(self, a, step):
+        # coefficients -9..9 are balanced 5-bit digits; a negative one
+        # borrows from the slot above it, and slots run either way
+        start = -12 * step
+        packed = sum(k << 5 * ((e - start) * step) for e, k in a.terms())
+        assert LaurentPoly.from_digits(packed, 5, start, step) == a
+
     def test_equality_and_hash(self):
         a = LaurentPoly({2: 1, -2: 1})
         b = LaurentPoly({-2: 1, 2: 1})
