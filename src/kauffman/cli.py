@@ -22,7 +22,6 @@ import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .adequacy import InvariantViolation, analyze, feasible_width
 from .bracket import BRACKET_ENGINES, CapExceeded, bracket
@@ -34,6 +33,7 @@ from .diagram import (
     mirror,
     parse_pd,
     serialize,
+    simplify,
 )
 from .jones import reduced, unreduced
 from .laurent import NotDivisibleByFourError
@@ -97,7 +97,7 @@ def _cmd_cjones(diagram: LinkDiagram, args) -> dict:
         value, var = unreduced(diagram, args.n, cap=args.cap), "A"
         doc["form"] = "unreduced"
     else:
-        value = reduced(diagram, args.n, cap=args.cap)
+        value = reduced(simplify(diagram), args.n, cap=args.cap)
         try:
             value, var = value.to_q(), "q"
         except NotDivisibleByFourError:
@@ -257,6 +257,10 @@ def _cmd_verify(diagram: None, args) -> dict:
     # ask for no more than there are entries
     workers = min(args.workers, len(payloads))
     if workers > 1:
+        # imported here: the pool's machinery costs every other command
+        # memory at start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_entry, payloads))
     else:

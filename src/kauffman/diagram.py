@@ -12,7 +12,10 @@ slot 1.  Validation traces each component once to recover its
 orientation, which also works for short components where "label plus
 one" alone is ambiguous, and reads every sign off that one trace.
 Cables are labelled in closed form from the components of the diagram
-they thicken, then validated like any other code.
+they thicken, then validated like any other code.  :func:`simplify`
+removes the R1 kinks and R2 bigons of a knot before ``cjones`` cables
+it; every other command, and :func:`kauffman.jones.reduced` on the
+diagram as given, the reference the tests hold it to, keep the input.
 
 Validation rejects codes that do not describe a planar diagram: the
 counterclockwise slot order at every crossing makes the code a map on a
@@ -37,6 +40,7 @@ __all__ = [
     "mirror",
     "parse_pd",
     "serialize",
+    "simplify",
     "writhe",
 ]
 
@@ -392,6 +396,77 @@ def mirror(diagram: LinkDiagram) -> LinkDiagram:
         components=diagram.components,
         partner=tuple(partner),
     )
+
+
+def simplify(diagram: LinkDiagram) -> LinkDiagram:
+    """A knot diagram with every R1 kink and R2 bigon removed.
+
+    An R1 kink is an arc joining two cyclically adjacent ports of one
+    crossing.  An R2 bigon is a two-edged face, walked as in
+    :func:`_map_face_count`, whose one strand is over at both of its
+    crossings; a clasp, over at one and under at the other, is kept, as
+    is a bigon whose outer ports lead back to its own crossings.  Both
+    moves preserve the knot type and the bracket up to ``-A**(3*e)``
+    per kink of writhe ``e``, which the writhe correction of
+    :func:`kauffman.jones.reduced` cancels, so the reduced value is
+    unchanged.  The kept crossings are relabelled along the knot and
+    keep their signs.  Links, crossingless diagrams and knots with
+    nothing to remove come back as the same object; a knot that
+    reduces fully becomes ``crossingless(1)``.
+    """
+    if len(diagram.components) != 1 or not diagram.crossings:
+        return diagram
+    partner = list(diagram.partner)
+    alive = [True] * diagram.crossing_count
+
+    def join(p: int, q: int) -> None:
+        partner[p], partner[q] = q, p
+
+    def turn(p: int) -> int:
+        return (p & ~3) | ((p + 1) & 3)
+
+    while True:
+        for p, q in enumerate(partner):
+            x, y = p >> 2, q >> 2
+            if not alive[x]:
+                continue
+            if x == y and q == turn(p):
+                r, s = partner[p ^ 2], partner[q ^ 2]
+                alive[x] = False
+                if r >> 2 == x:  # the crossing was the whole knot
+                    return LinkDiagram.crossingless(1)
+                join(r, s)
+                break
+            back = partner[turn(q)]
+            if (x == y or back >> 2 != x or turn(back) != p
+                    or (p ^ q) & 1):
+                continue
+            outer = [partner[v ^ 2] for v in (p, q, turn(q), back)]
+            if any(v >> 2 in (x, y) for v in outer):
+                continue
+            join(outer[0], outer[1])
+            join(outer[2], outer[3])
+            alive[x] = alive[y] = False
+            break
+        else:
+            break
+    kept = [ci for ci, keep in enumerate(alive) if keep]
+    if len(kept) == len(alive):
+        return diagram
+    index = {ci: i for i, ci in enumerate(kept)}
+    slots = [[0] * 4 for _ in kept]
+    entry = 4 * kept[0]  # slot 0 is entered along the orientation
+    for label in range(1, 2 * len(kept) + 1):
+        leave = _passage_exit(entry)
+        entry = partner[leave]
+        for v in (leave, entry):
+            slots[index[v >> 2]][v & 3] = label
+    result = from_slot_tuples([tuple(s) for s in slots])
+    if [x.sign for x in result.crossings] != [
+        diagram.crossings[ci].sign for ci in kept
+    ]:
+        raise AssertionError("simplifying changed a crossing sign")
+    return result
 
 
 def cable(diagram: LinkDiagram, n: int) -> LinkDiagram:

@@ -18,7 +18,10 @@ The cables and their brackets are the expensive part of every value
 here.  Both are memoized on the diagram object (see
 :func:`kauffman.diagram.cable` and :func:`kauffman.bracket.bracket`), so
 asking one diagram for several widths or forms builds each cable and
-its bracket once.
+its bracket once.  Everything here works on the diagram as given: the
+``cjones`` command first drops kinks and bigons with
+:func:`kauffman.diagram.simplify`, and :func:`reduced` on the given
+diagram is the slower reference path its value is tested against.
 
 The writhe correction multiplies by ``(-1)**(n*w + n - 1)`` and by
 ``A**(-w*(n*n + 2*n))``, where ``w`` is the writhe.  No further fudge

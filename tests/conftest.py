@@ -83,9 +83,9 @@ def braid_closure(strands, word):
     )
 
 
-def seeded_closures(seed, count, crossings=range(4, 11)):
-    """``count`` closures of random words on 3-5 strands, each using
-    every generator so that the closure is connected."""
+def seeded_words(seed, count, crossings=range(4, 11)):
+    """``count`` random ``(strands, word)`` braids on 3-5 strands, each
+    word using every generator so that its closure is connected."""
     rng = Random(seed)
     out = []
     while len(out) < count:
@@ -93,5 +93,10 @@ def seeded_closures(seed, count, crossings=range(4, 11)):
         word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
                 for _ in range(rng.choice(crossings))]
         if len({abs(g) for g in word}) == strands - 1:
-            out.append(braid_closure(strands, word))
+            out.append((strands, word))
     return out
+
+
+def seeded_closures(seed, count, crossings=range(4, 11)):
+    """The closures of ``seeded_words(seed, count, crossings)``."""
+    return [braid_closure(*b) for b in seeded_words(seed, count, crossings)]

@@ -6,6 +6,7 @@ JSON outputs must be byte-deterministic: the verify battery is
 compared across runs and across worker counts.
 """
 
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -20,15 +21,17 @@ from kauffman import bracket as bracket_module
 from kauffman import cli
 from kauffman.adequacy import InvariantViolation
 from kauffman.corpus import CorpusEntry, load_corpus_file
-from kauffman.diagram import serialize
+from kauffman.diagram import serialize, simplify
 from kauffman.laurent import LaurentPoly
 
-from conftest import seeded_closures
+from conftest import braid_closure, seeded_closures
+from oracles import habiro_figure_eight, masbaum_trefoil
 
 LH_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 KINK_POS = "X[1,1,2,2]"
 HOPF = "X[1,3,2,4] X[3,1,4,2]"
 LOOPY = "X[1,4,2,5] X[6,4,1,3] X[2,6,3,5]"
+STABLE_UNKNOT = "X[6,2,1,1] X[5,3,6,2] X[4,4,5,3]"
 
 
 def run(capsys, *argv):
@@ -208,15 +211,18 @@ class TestProcess:
 
     SRC = str(Path(__file__).resolve().parent.parent / "src")
 
-    def _spawn(self, *argv):
+    def _python(self, *args):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (self.SRC, env.get("PYTHONPATH")) if p
         )
         return subprocess.run(
-            [sys.executable, "-m", "kauffman.cli", *argv],
+            [sys.executable, *args],
             capture_output=True, text=True, env=env, timeout=60,
         )
+
+    def _spawn(self, *argv):
+        return self._python("-m", "kauffman.cli", *argv)
 
     def test_exit_codes_and_streams(self):
         ok = self._spawn("bracket", LH_TREFOIL)
@@ -230,6 +236,16 @@ class TestProcess:
         capped = self._spawn("bracket", "--cap", "0", KINK_POS)
         assert capped.returncode == 3 and capped.stdout == ""
         assert capped.stderr.startswith("resource cap exceeded")
+
+    def test_import_leaves_out_the_process_pool(self):
+        # only verify --workers N uses it, and loading it costs every
+        # command about 2 MB
+        probe = self._python("-c", (
+            "import sys, kauffman.cli; print(sorted(m for m in "
+            "('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules))"
+        ))
+        assert (probe.returncode, probe.stdout) == (0, "[]\n")
 
 
 class TestOptionRegistration:
@@ -331,6 +347,41 @@ class TestCjonesCommand:
         payload = json.loads(out)
         assert payload["q_convertible"] is False
         assert payload["variable"] == "A"
+
+    def test_cap_bounds_the_simplified_diagram(self, capsys):
+        # a 3-crossing unknot: its width-6 cables would need more than
+        # 100 live states, the crossingless unknot it simplifies to none
+        rc, out, _ = run(
+            capsys, "cjones", "--n", "6", "--cap", "100", STABLE_UNKNOT
+        )
+        assert (rc, out) == (0, "1\n")
+        rc, _, _ = run(
+            capsys, "cjones", "--n", "6", "--cap", "100", "--unreduced",
+            STABLE_UNKNOT,
+        )
+        assert rc == 3
+
+    @pytest.mark.parametrize("braid,crossings,closed", [
+        ((3, [1, 1, 1, 2]), 3, lambda n: masbaum_trefoil(n, 1)),
+        ((3, [1, -1, 1, 1, 1, 2]), 3, lambda n: masbaum_trefoil(n, 1)),
+        ((4, [-1, -1, -1, -2, 3]), 3, lambda n: masbaum_trefoil(n, -1)),
+        ((4, [1, -2, 1, -2, 3]), 4, habiro_figure_eight),
+        ((4, [1, -2, 2, -2, 1, -2, -3]), 4, habiro_figure_eight),
+    ])
+    def test_padded_closures_match_closed_forms(
+        self, capsys, braid, crossings, closed
+    ):
+        # stabilized and R2-padded closures of the trefoils and the
+        # figure-eight, through the simplifying path of the command
+        diagram = braid_closure(*braid)
+        assert simplify(diagram).crossing_count == crossings
+        for n in (1, 2, 3, 4):
+            rc, out, _ = run(
+                capsys, "cjones", "--n", str(n), "--json", serialize(diagram)
+            )
+            doc = json.loads(out)
+            assert (rc, doc["variable"]) == (0, "q")
+            assert dict(map(tuple, doc["value"]["pairs"])) == closed(n)
 
     def test_unreduced_text(self, capsys):
         rc, out, _ = run(capsys, "cjones", "--n", "2", "--unreduced", LOOPY)
@@ -446,7 +497,9 @@ class TestVerifyCommand:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", FakePool
+        )
         serial = run(capsys, "verify", "--json", "--nmax", "2")
         wide = run(
             capsys, "verify", "--json", "--nmax", "2", "--workers", "1000"
