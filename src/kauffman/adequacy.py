@@ -31,8 +31,8 @@ cable of a c-crossing diagram has c*n**2 crossings, so default widths
 are 3 for up to three crossings, 2 for up to six, 1 beyond.
 
 Every function here reads the cables, their brackets and the extreme
-state graphs through the diagram object's memo, so a battery that asks
-one diagram for the same data many times builds each piece once.
+states' circles through the diagram object's memo, so a battery that
+asks one diagram for the same data many times builds each piece once.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .bracket import bracket
 from .diagram import LinkDiagram, cable, mirror, writhe
 from .jones import unreduced
 from .laurent import LaurentPoly
-from .states import ribbon_graph
+from .states import circles
 
 __all__ = [
     "AdequacyReport",
@@ -72,7 +72,7 @@ class InvariantViolation(RuntimeError):
 
 def is_a_adequate(diagram: LinkDiagram) -> bool:
     """True when the all-A state graph has no one-edge loops."""
-    return ribbon_graph(diagram, "A").loop_mask() == 0
+    return circles(diagram, "A")[1] == 0
 
 
 def is_b_adequate(diagram: LinkDiagram) -> bool:
@@ -81,7 +81,7 @@ def is_b_adequate(diagram: LinkDiagram) -> bool:
     Computed directly and cross-checked against A-adequacy of the
     mirror image; the two constructions must agree.
     """
-    direct = ribbon_graph(diagram, "B").loop_mask() == 0
+    direct = circles(diagram, "B")[1] == 0
     via_mirror = is_a_adequate(mirror(diagram))
     if direct != via_mirror:
         raise InvariantViolation(
@@ -99,7 +99,7 @@ def h_ceiling(diagram: LinkDiagram, n: int) -> int:
     evaluation never exceeds this exponent.
     """
     c_neg = diagram.negative_count
-    v_a = ribbon_graph(diagram, "A").vertex_count
+    v_a = circles(diagram, "A")[0]
     return 2 * c_neg * n * n + 2 * (v_a - writhe(diagram)) * n - 2
 
 
@@ -117,8 +117,7 @@ def _bound(diagram: LinkDiagram, side: str) -> int:
     """``e + 2v - 2`` over one extreme state graph; zero when empty."""
     if diagram.is_empty:
         return 0
-    g = ribbon_graph(diagram, side)
-    return g.edge_count + 2 * g.vertex_count - 2
+    return diagram.crossing_count + 2 * circles(diagram, side)[0] - 2
 
 
 def feasible_width(diagram: LinkDiagram) -> int:
@@ -253,7 +252,7 @@ def analyze(
     complexity = (
         diagram.negative_count,
         diagram.crossing_count,
-        ribbon_graph(diagram, "A").vertex_count - writhe(diagram),
+        circles(diagram, "A")[0] - writhe(diagram),
     )
 
     # stability of the detector pair needs two widths above 2; the

@@ -1,4 +1,4 @@
-"""Three independent engines for the Kauffman bracket.
+"""Three engines for the Kauffman bracket.
 
 All engines return the bracket normalized so the unknot's value is 1,
 computed exactly over the integers.  The crossingless diagram with m
@@ -11,39 +11,39 @@ Engines:
   circles as the crossings' joins splice the diagram's arcs.  The
   reference implementation.
 * ``bracket_subgraph``: sum over spanning subgraphs of the all-A state
-  ribbon graph, using boundary-component counts.  Exercises completely
-  different machinery (rotations oriented across the chords), so
-  agreement with the state sum is strong evidence for both.
+  ribbon graph, using boundary-component counts.
 
-  Both enumerate depth first (:func:`_loop_histogram`), splicing one
-  crossing or edge at a time into a table of open-strand ends and
-  undoing it on the way back.  Once the first i crossings are
-  resolved, the rest read only how the table pairs their own ends, so
-  each depth counts the rest once per distinct pairing, which keeps
-  the count exact: the cost is the distinct pairings per depth, not
-  2^c.  The counts, one packed integer, are read by Horner's rule in
-  ``A**-2 * delta`` on one integer, whose digits are decoded once
-  (:func:`_assemble`).  They share no code with the sweep but the
-  digit decoder of :class:`~kauffman.laurent.LaurentPoly`.
-* ``bracket_fast``: a sweep that processes one crossing at a time and
-  merges partial diagrams with identical open-strand matchings, the
-  gluing of Bar-Natan's "Fast Khovanov homology computations" (JKTR
-  2007).  A state is keyed by its open boundary alone, one integer of
-  fields that name each open port's partner, so a branch's key is two
-  integer operations on its parent's.  Its weight is packed into one
-  integer, in slots sized by the final bracket, whose coefficients
-  Thistlethwaite's spanning-tree expansion (Topology 26, 1987) bounds,
-  not by the partial sums: packing is a ring homomorphism, so
-  intermediate digits may overflow.  Below ``u**0`` it keeps one slot
-  per circle of the all-B state, the paper's bound on the lowest
-  degree (:func:`_weight_slots`).  A value that fails the check at
-  ``A = 1`` is never returned.  The number of live states stays small
-  for cabled diagrams, which is where the exponential engines give
-  out.  Its cost is set by the crossing order (:func:`_sweep_order`):
-  a greedy one that keeps the open boundary small, and where the sweep
-  promises to be expensive, the best by score of greedy orders from
-  several start crossings, the score being the sum of 2**(open ports)
-  over the steps.
+  The two checkers share :func:`_loop_histogram` and :func:`_assemble`
+  and differ only in the end table they start from: the port table, or
+  the corners of the all-A ribbon graph, oriented across the chords.
+  Both enumerate depth first, splicing one crossing or edge at a time
+  into a table of open-strand ends and undoing it on the way back.
+  Once the first i crossings are resolved, the rest read only how the
+  table pairs their own ends, so each depth counts the rest once per
+  distinct pairing, which keeps the count exact: the cost is the
+  distinct pairings per depth, not 2^c.  The counts, one packed
+  integer, are read by Horner's rule in ``A**-2 * delta`` on one
+  integer, whose digits are decoded once (:func:`_assemble`).
+* ``bracket_fast``, the path independent of both, which shares no code
+  with them but the digit decoder of
+  :class:`~kauffman.laurent.LaurentPoly`: a sweep that processes one
+  crossing at a time and merges partial diagrams with identical
+  open-strand matchings, the gluing of Bar-Natan's "Fast Khovanov
+  homology computations" (JKTR 2007).  A state is keyed by its open
+  boundary alone, one integer of fields that name each open port's
+  partner, so a branch's key is two integer operations on its parent's.
+  Its weight is packed into one integer, in slots sized by the final
+  bracket, whose coefficients Thistlethwaite's spanning-tree expansion
+  (Topology 26, 1987) bounds, not by the partial sums: packing is a ring
+  homomorphism, so intermediate digits may overflow.  Below ``u**0`` it
+  keeps one slot per circle of the all-B state, the paper's bound on the
+  lowest degree (:func:`_weight_slots`).  A value that fails the check
+  at ``A = 1`` is never returned.  The number of live states stays small
+  for cabled diagrams, which is where the exponential engines give out.
+  Its cost is set by the crossing order (:func:`_sweep_order`): a greedy
+  one that keeps the open boundary small, and where the sweep promises
+  to be expensive, the best by score of greedy orders from several start
+  crossings, the score being the sum of 2**(open ports) over the steps.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from math import comb
 
 from kauffman.diagram import LinkDiagram
 from kauffman.laurent import LaurentPoly
-from kauffman.states import ribbon_graph
+from kauffman.states import circles, ribbon_graph
 
 __all__ = [
     "BRACKET_ENGINES",
@@ -254,7 +254,7 @@ def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
             f"subgraph sum over 2^{c} edge subsets exceeds cap {cap}",
             {"crossings": c, "cap": cap},
         )
-    graph = ribbon_graph(diagram, "A")
+    graph = ribbon_graph(diagram)
     corners = [0] * (4 * c)
     for rot in graph.rotations:
         for d, nxt in zip(rot, rot[1:] + rot[:1]):
@@ -462,23 +462,6 @@ def _move(far: int, step, bits: int) -> list[int]:
     return move
 
 
-def _all_b_circles(partner: list[int]) -> int:
-    """The circles of the all-B state, traced on the port table: a B
-    join pairs port ``p`` with ``p ^ 3``, and an arc ``p`` with
-    ``partner[p]``."""
-    seen = [False] * len(partner)
-    circles = 0
-    for start in range(len(partner)):
-        if seen[start]:
-            continue
-        circles += 1
-        p = start
-        while not seen[p]:
-            seen[p] = seen[p ^ 3] = True
-            p = partner[p ^ 3]
-    return circles
-
-
 def _weight_slots(c: int, all_b: int) -> tuple[int, int]:
     """Bits per slot and the slot of ``u**0`` of a packed weight, for
     a diagram of ``c`` crossings whose all-B state has ``all_b``
@@ -558,7 +541,7 @@ def bracket_fast(
     if c == 0:
         return _crossingless_value(diagram)
     steps, field_bits = _frontier_plan(diagram, _sweep_order(diagram))
-    bits, offset = _weight_slots(c, _all_b_circles(diagram.partner))
+    bits, offset = _weight_slots(c, circles(diagram, "B")[0])
     two = 2 * bits
     three = 3 * bits
     states = {0: 1 << (bits * offset)}

@@ -99,9 +99,10 @@ class LinkDiagram:
     def _memoize(self, key: tuple, build: Callable[[], T]) -> T:
         """``build()``, computed once per diagram object under ``key``.
 
-        Holds the cables by width, their brackets by engine and cap, and
-        the extreme states' ribbon graphs by side.  The memo lives and dies
-        with this object: two parses of one code share nothing.
+        Holds the cables by width, their brackets by engine and cap, the
+        extreme states' circles by side and the all-A ribbon graph.  The
+        memo lives and dies with this object: two parses of one code
+        share nothing.
         """
         if key not in self._memo:
             self._memo[key] = build()

@@ -1,14 +1,15 @@
-"""The all-A and all-B Kauffman states, their circles, and their
-ribbon graphs.
+"""The all-A and all-B Kauffman states: their circles and loops, and
+the all-A ribbon graph.
 
 Resolving every crossing of a diagram the same way, A or B, leaves a
-disjoint union of circles in the plane; recording which pairs of
-circles each crossing used to touch gives a ribbon graph with one
-vertex per circle and one edge per crossing.  These two extreme states,
-named by their side ``"A"`` or ``"B"``, are the only ones the package
-resolves: a mixed state is a spanning subgraph of the all-A ribbon
-graph, whose faces are that state's circles (Dasbach, Futer,
-Kalfagianni, Lin and Stoltzfus, JCTB 2008).
+disjoint union of circles in the plane.  The battery and the sweep read
+only each extreme state's circle count and loops, the crossings whose
+two joins lie on one circle (:func:`circles`), with no orientation.
+Recording which circles each crossing touched gives a ribbon graph, one
+vertex per circle and one edge per crossing.  ``bracket_subgraph`` sums
+over the spanning subgraphs of the all-A one, whose faces are the mixed
+states' circles (Dasbach, Futer, Kalfagianni, Lin and Stoltzfus, JCTB
+2008).  The all-B state's ribbon graph is the mirror's all-A one.
 
 A rotation at a circle is the cyclic order of its chord ends read along
 the circle: counterclockwise for circles at even depth below the region
@@ -27,59 +28,80 @@ from kauffman.diagram import LinkDiagram
 
 __all__ = [
     "RibbonGraph",
+    "circles",
     "resolve",
     "ribbon_graph",
 ]
 
 
-def resolve(diagram: LinkDiagram, side: str) -> tuple[tuple[int, ...], ...]:
-    """Resolve every crossing the ``side`` way, ``"A"`` or ``"B"``, and
-    orient the circles across the chords.
+def circles(diagram: LinkDiagram, side: str) -> tuple[int, int]:
+    """The circle count of the all-``side`` state, ``"A"`` or ``"B"``,
+    and its loop mask, bit i set when crossing i's two joins lie on one
+    circle; once per diagram object and side.  A join pairs port ``p``
+    with ``p ^ 1`` on the A side and ``p ^ 3`` on the B side, so slots 0
+    and 2 lie on different joins on both."""
+    if side not in ("A", "B"):
+        raise ValueError(f"side must be 'A' or 'B', not {side!r}")
+    join = 1 if side == "A" else 3
+    return diagram._memoize(("circles", side), lambda: _trace(diagram, join))
+
+
+def _trace(diagram: LinkDiagram, join: int) -> tuple[int, int]:
+    partner = diagram.partner
+    circle = [0] * len(partner)  # per port, its circle's number from 1
+    count = 0
+    for start in range(len(partner)):
+        if circle[start]:
+            continue
+        count += 1
+        p = start
+        while True:
+            q = p ^ join
+            circle[p] = circle[q] = count
+            p = partner[q]
+            if circle[p]:
+                break
+    loops = 0
+    for i in range(len(partner) // 4):
+        if circle[4 * i] == circle[4 * i + 2]:
+            loops |= 1 << i
+    return count + diagram.free_loops, loops
+
+
+def resolve(diagram: LinkDiagram) -> tuple[tuple[int, ...], ...]:
+    """Resolve every crossing the A way and orient the circles across
+    the chords.
 
     Returns one entry per circle: the flat join indices ``2*ci + j`` in
     the order met along the circle's ribbon orientation, the one that
     puts the odd side of the checkerboard colouring of the circles on
-    its left.  Join 0 of a crossing is the one at slot 0 (slots run
-    counterclockwise from the incoming understrand).  Every join lies on
-    exactly one circle, and a crossingless loop is a circle with no
-    joins.
+    its left.  Join 0 of a crossing pairs slots 0 and 1, join 1 slots 2
+    and 3.  Every join lies on exactly one circle, and a crossingless
+    loop is a circle with no joins.
     """
-    if side not in ("A", "B"):
-        raise ValueError(f"side must be 'A' or 'B', not {side!r}")
     n = diagram.crossing_count
     if n == 0:
         return ((),) * diagram.free_loops
 
     partner = diagram.partner
-    # The A joins pair slots (0, 1) and (2, 3), so port p with p ^ 1;
-    # the B joins pair (3, 0) and (1, 2), so p with p ^ 3.  Adding t = 1
-    # to a B slot turns its pairs into A's, so halving the shifted slot
-    # gives the join index on both sides, with slot 0 in join 0.
-    t = 1 if side == "B" else 0
-    flip = 1 + 2 * t
-
     # Trace circles through alternating join and arc hops, starting each
-    # circle with a join hop.  A join traced from slot s to slot s + 1
-    # (mod 4) has its crossing, and so its chord, on the left.
-    seen = [False] * (4 * n)
+    # circle at the even port of its first join; join j pairs ports 2j
+    # and 2j + 1.  A join traced from slot s to slot s + 1, from an even
+    # port, has its crossing, and so its chord, on the left.
     orders: list[list[int]] = []
-    circle_of_join = [0] * (2 * n)
+    circle_of_join = [-1] * (2 * n)
     chord_on_left = [False] * (2 * n)
-    for start in range(4 * n):
-        if seen[start]:
+    for first in range(2 * n):
+        if circle_of_join[first] >= 0:
             continue
         joins: list[int] = []
-        port = start
-        while True:
-            hop = port ^ flip
-            seen[port] = seen[hop] = True
-            flat = 2 * (port >> 2) + (((port + t) & 3) >> 1)
+        port = 2 * first
+        while circle_of_join[port >> 1] < 0:
+            flat = port >> 1
             joins.append(flat)
             circle_of_join[flat] = len(orders)
-            chord_on_left[flat] = (hop - port) & 3 == 1
-            port = partner[hop]
-            if port == start:
-                break
+            chord_on_left[flat] = not port & 1
+            port = partner[port ^ 1]
         orders.append(joins)
 
     # A chord lies in one region of the circles, so the circles at its
@@ -110,7 +132,6 @@ class RibbonGraph:
     """An oriented ribbon graph: a rotation (cyclic dart order) at each
     vertex.  Edge i owns darts 2i and 2i + 1.
 
-    The adequacy battery reads the counts and the loops, and
     ``bracket_subgraph`` counts faces from the rotations itself;
     :meth:`faces` is the per-mask reference the tests hold it to.
     """
@@ -145,15 +166,6 @@ class RibbonGraph:
     def edge_count(self) -> int:
         return len(self._vertex_of) // 2
 
-    def loop_mask(self) -> int:
-        """Bit i set when edge i joins a vertex to itself."""
-        vertex_of = self._vertex_of
-        mask = 0
-        for i in range(self.edge_count):
-            if vertex_of[2 * i] == vertex_of[2 * i + 1]:
-                mask |= 1 << i
-        return mask
-
     def faces(self, edge_mask: int) -> int:
         """Boundary components of the spanning subgraph with the given
         edges.  Vertices with no incident present edge contribute one
@@ -187,12 +199,12 @@ class RibbonGraph:
         return count
 
 
-def ribbon_graph(diagram: LinkDiagram, side: str) -> RibbonGraph:
-    """The ribbon graph of the all-``side`` state: one vertex per
-    circle, one edge per crossing, edge i joining the circles at
-    crossing i's two joins.  Built once per diagram object and side."""
+def ribbon_graph(diagram: LinkDiagram) -> RibbonGraph:
+    """The ribbon graph of the all-A state: one vertex per circle, one
+    edge per crossing, edge i joining the circles at crossing i's two
+    joins.  Built once per diagram object."""
     # Ribbon dart ids: crossing ci's chord owns darts 2ci (at join 0)
     # and 2ci + 1 (at join 1); flat join index 2ci + j is the dart id.
     return diagram._memoize(
-        ("graph", side), lambda: RibbonGraph(resolve(diagram, side))
+        ("graph",), lambda: RibbonGraph(resolve(diagram))
     )

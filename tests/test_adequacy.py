@@ -28,7 +28,7 @@ from kauffman.corpus import bundled
 from kauffman.diagram import LinkDiagram, cable, mirror, parse_pd
 from kauffman.jones import unreduced
 from kauffman.laurent import LaurentPoly
-from kauffman.states import resolve, ribbon_graph
+from kauffman.states import circles
 
 from conftest import seeded_closures
 
@@ -48,21 +48,22 @@ class TestAdequacyFlags:
             assert is_b_adequate(d) == entry.b_adequate, entry.name
 
     def test_state_graph_sides(self, corpus_diagrams):
-        # the battery's state graphs are the memoized ribbon graphs,
-        # built once per diagram object and side
+        # the battery reads each extreme state's memoized circles and
+        # loops, computed once per diagram object and side
         d = corpus_diagrams["trefoil-left"]
         for side in "AB":
-            assert ribbon_graph(d, side) is ribbon_graph(d, side)
-            assert ribbon_graph(d, side).rotations == resolve(d, side)
-        assert ribbon_graph(d, "A").rotations != ribbon_graph(d, "B").rotations
+            assert circles(d, side) is circles(d, side)
+        assert circles(d, "A") == (3, 0)
+        assert circles(d, "B") == (2, 0)
 
     def test_width_one_cable_shares_the_state_graphs(self, corpus_diagrams):
         for d in corpus_diagrams.values():
-            assert ribbon_graph(cable(d, 1), "A") is ribbon_graph(d, "A")
+            for side in "AB":
+                assert circles(cable(d, 1), side) is circles(d, side)
 
     def test_state_graph_bad_side(self, corpus_diagrams):
         with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
-            ribbon_graph(corpus_diagrams["trefoil-left"], "C")
+            circles(corpus_diagrams["trefoil-left"], "C")
 
     def test_mirror_swaps_the_two_adequacies(self, corpus_diagrams):
         for d in corpus_diagrams.values():

@@ -21,7 +21,6 @@ from kauffman.bracket import (
     bracket_fast,
     bracket_statesum,
     bracket_subgraph,
-    _all_b_circles,
     _assemble,
     _frontier_plan,
     _sweep_order,
@@ -351,20 +350,6 @@ class TestSweepBeyondOracle:
                     packed, bits, -2 * offset, 2
                 ) == LaurentPoly({2 * e: k for e, k in zip(exps, coeffs)})
 
-    def test_all_b_circles_match_the_ribbon_graph(self, corpus_diagrams):
-        # the sweep's offset, traced on the port table, against the
-        # all-B state's circles as the ribbon graph resolves them
-        diagrams = [
-            cable(d, width)
-            for d in corpus_diagrams.values()
-            if d.crossing_count
-            for width in (1, 2, 3, 4, 5)
-        ] + seeded_closures(11, 40)
-        for d in diagrams:
-            assert _all_b_circles(d.partner) == ribbon_graph(
-                d, "B"
-            ).vertex_count, d
-
 
 def _norm(p):
     return sum(abs(k) for _, k in p.terms())
@@ -498,7 +483,7 @@ class TestCheckersAgainstPerMaskWalks:
         self, corpus_diagrams, small_diagrams
     ):
         for d in self._diagrams(corpus_diagrams, small_diagrams):
-            graph = ribbon_graph(d, "A")
+            graph = ribbon_graph(d)
             expected = _per_mask_bracket(d.crossing_count, graph.faces)
             assert bracket_subgraph(d) == expected, d
 

@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from kauffman import cli
+from kauffman import cli, states
 from kauffman.corpus import bundled
 from kauffman.diagram import parse_pd
 
@@ -67,6 +67,25 @@ def test_cli_output_matches_golden_file():
     assert [g["argv"] for g in golden] == commands()
     for expected, got in zip(golden, run_all(commands())):
         assert got == expected
+
+
+
+def test_the_battery_never_orients(monkeypatch):
+    # adequacy, cjones and cable read only the extreme states' circles
+    # and loops; orienting the all-A state serves bracket_subgraph alone
+    def refuse(diagram):
+        raise AssertionError("oriented the all-A state")
+
+    monkeypatch.setattr(states, "resolve", refuse)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    checked = [
+        g for g in golden
+        if g["argv"][0] in ("cjones", "cable")
+        or g["argv"][:2] == ["adequacy", "--json"]
+    ]
+    assert len(checked) == 180
+    for expected in checked:
+        assert run(expected["argv"]) == expected
 
 
 if __name__ == "__main__":

@@ -1,21 +1,24 @@
-"""Extreme states, circle counts, ribbon graphs, and the face/circle
-duality.
+"""Extreme states, their circles and loops, ribbon graphs, and the
+face/circle duality.
 
 The load-bearing fact checked here: counting the circles of a state
 agrees with counting faces of spanning subgraphs of the extreme-state
-ribbon graphs, for every subset, on every bundled diagram.  The circles
-come from the oracle's union-find over slot ends and the faces from
-rotation-system face tracing, two unrelated code paths, so agreement
-over all 2^e subsets is a strong cross-check of the dart conventions.
+ribbon graphs, for every subset, on every bundled diagram.  The all-A
+graph is ``ribbon_graph(d)`` and the all-B graph the all-A graph of the
+mirror.  The circles come from the oracle's union-find over slot ends
+and the faces from rotation-system face tracing, two unrelated code
+paths, so agreement over all 2^e subsets is a strong cross-check of the
+dart conventions.
 """
 
 import hashlib
 
 import pytest
 
-from kauffman.diagram import LinkDiagram, cable
-from kauffman.states import RibbonGraph, resolve, ribbon_graph
+from kauffman.diagram import LinkDiagram, cable, mirror
+from kauffman.states import RibbonGraph, circles, resolve, ribbon_graph
 
+from conftest import seeded_closures
 from oracles import oracle_circles
 from surfaces import component_count, genus
 
@@ -44,21 +47,48 @@ class TestCircleCount:
     @pytest.mark.parametrize("name", sorted(EXTREMES))
     def test_extreme_states_frozen(self, corpus_diagrams, name):
         d = corpus_diagrams[name]
-        assert (len(resolve(d, "A")), len(resolve(d, "B"))) == self.EXTREMES[name]
+        got = (circles(d, "A")[0], circles(d, "B")[0])
+        assert got == self.EXTREMES[name]
+        assert len(resolve(d)) == got[0]
+        assert len(resolve(mirror(d))) == got[1]
 
     def test_crossingless_diagrams(self):
         d = LinkDiagram.crossingless(3)
-        assert resolve(d, "A") == resolve(d, "B") == ((),) * 3
+        assert resolve(d) == ((),) * 3
+        assert circles(d, "A") == circles(d, "B") == (3, 0)
+        empty = LinkDiagram.crossingless(0)
+        assert circles(empty, "A") == circles(empty, "B") == (0, 0)
 
-    # every other state's circles are faces of these graphs, checked
-    # against the oracle by TestDuality
+    # ``circles`` against the oracle's union-find: the count on both
+    # sides, and loop bit i set exactly when switching crossing i alone
+    # adds a circle (a join pair on one circle splits it; on two
+    # circles, it merges them)
     def _check(self, d):
-        for side in "AB":
-            assert len(resolve(d, side)) == oracle_circles(d, side * d.crossing_count)
+        c = d.crossing_count
+        for side, other in ("AB", "BA"):
+            count, loops = circles(d, side)
+            assert count == oracle_circles(d, side * c), (d, side)
+            assert loops >> c == 0
+            for i in range(c):
+                switched = oracle_circles(d, side * i + other + side * (c - i - 1))
+                assert (loops >> i & 1) == (switched == count + 1), (d, side, i)
+        assert circles(d, "B") == circles(mirror(d), "A")
 
     def test_matches_oracle_on_corpus(self, corpus_diagrams):
         for d in corpus_diagrams.values():
             self._check(d)
+            self._check(mirror(d))
+
+    def test_matches_oracle_on_cables_and_closures(self, corpus_diagrams):
+        diagrams = [
+            cable(d, width)
+            for d in corpus_diagrams.values()
+            if d.crossing_count
+            for width in (1, 2, 3, 4, 5)
+        ] + seeded_closures(11, 40)
+        for d in diagrams:
+            self._check(d)
+            self._check(mirror(d))
 
     def test_matches_oracle_on_small_pool(self, small_diagrams):
         for d in small_diagrams:
@@ -67,50 +97,49 @@ class TestCircleCount:
 
 class TestResolution:
     def test_resolution_is_consistent(self, corpus_diagrams):
-        # every join lies on exactly one circle
+        # every join lies on exactly one circle, in the all-A state and
+        # in the all-B state read as the mirror's all-A state
         for d in corpus_diagrams.values():
-            for side in "AB":
-                joins = sorted(j for order in resolve(d, side) for j in order)
+            for e in (d, mirror(d)):
+                joins = sorted(j for order in resolve(e) for j in order)
                 assert joins == list(range(2 * d.crossing_count))
 
     def test_invalid_side_rejected(self, corpus_diagrams):
         for d in (corpus_diagrams["trefoil-left"], LinkDiagram.crossingless(2)):
             for side in ("C", "a", None):
                 with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
-                    resolve(d, side)
-                with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
-                    ribbon_graph(d, side)
+                    circles(d, side)
 
     def test_positive_kink_is_never_nested(self, corpus_diagrams):
         d = corpus_diagrams["kink-positive"]
-        assert resolve(d, "A") == ((0,), (1,))
-        assert resolve(d, "B") == ((1, 0),)
+        assert resolve(d) == ((0,), (1,))
+        assert resolve(mirror(d)) == ((0, 1),)
 
     # In the extreme states of a cable the copies of a circle run
     # parallel, so circles nest.  16-hex sha256 of the rotations of the
-    # all-A and all-B graphs of every corpus entry with crossings at
-    # width 2, and at width 3 where the cable has at most 36 crossings.
+    # all-A graph of every corpus entry with crossings at width 2, and
+    # at width 3 where the cable has at most 36 crossings.
     NESTED = {
-        ("kink-positive", 2): ("4ad1cfbd0cbe984b", "f9f8306bb19e1f56"),
-        ("kink-positive", 3): ("a416131da09ea928", "41556d8f38344522"),
-        ("kink-negative", 2): ("ecaa9d90aeff657f", "a5daee13ad6188d2"),
-        ("kink-negative", 3): ("ac0e4eac50514df7", "0b2037b4e58c24b0"),
-        ("double-kink-positive", 2): ("8eaf2612a33e6edf", "f6b46522284e684d"),
-        ("double-kink-positive", 3): ("58c88e119e890e3c", "e0db5b96e9d4a4b3"),
-        ("cancelling-kinks", 2): ("2aae15175abf607c", "d8f010c7892caeb7"),
-        ("cancelling-kinks", 3): ("cfbac083074ba45d", "884b1cbee13c309e"),
-        ("hopf-positive", 2): ("63aefad1533a1076", "31cd4ffa41fec800"),
-        ("hopf-positive", 3): ("74ceb01bf2abc978", "a31ce5096b04c343"),
-        ("trefoil-left", 2): ("f98067019258ce10", "b86fe45dd6d959eb"),
-        ("trefoil-left", 3): ("7d61958ce06c1a42", "15c4b7b297cc2217"),
-        ("trefoil-right", 2): ("9dc50af85b0b898f", "4dc254801a8c08df"),
-        ("trefoil-right", 3): ("e7e80e9dd0761a62", "147a68bb7e69a153"),
-        ("loopy-unknot", 2): ("1d60c947de0c56bc", "4de888d93babd076"),
-        ("loopy-unknot", 3): ("e51c423bfe7ee389", "ddb59c2a5fcaf53c"),
-        ("figure-eight", 2): ("e677404d08079672", "56798cb09fa43b28"),
-        ("figure-eight", 3): ("6af224180568de31", "de1b9ea9d17469bd"),
-        ("overlap-unlink", 2): ("c863ca23aae01398", "39bf06e5ad285eb3"),
-        ("overlap-unlink", 3): ("73c91ff2d7835124", "b9b64bd01326ce28"),
+        ("kink-positive", 2): "4ad1cfbd0cbe984b",
+        ("kink-positive", 3): "a416131da09ea928",
+        ("kink-negative", 2): "ecaa9d90aeff657f",
+        ("kink-negative", 3): "ac0e4eac50514df7",
+        ("double-kink-positive", 2): "8eaf2612a33e6edf",
+        ("double-kink-positive", 3): "58c88e119e890e3c",
+        ("cancelling-kinks", 2): "2aae15175abf607c",
+        ("cancelling-kinks", 3): "cfbac083074ba45d",
+        ("hopf-positive", 2): "63aefad1533a1076",
+        ("hopf-positive", 3): "74ceb01bf2abc978",
+        ("trefoil-left", 2): "f98067019258ce10",
+        ("trefoil-left", 3): "7d61958ce06c1a42",
+        ("trefoil-right", 2): "9dc50af85b0b898f",
+        ("trefoil-right", 3): "e7e80e9dd0761a62",
+        ("loopy-unknot", 2): "1d60c947de0c56bc",
+        ("loopy-unknot", 3): "e51c423bfe7ee389",
+        ("figure-eight", 2): "e677404d08079672",
+        ("figure-eight", 3): "6af224180568de31",
+        ("overlap-unlink", 2): "c863ca23aae01398",
+        ("overlap-unlink", 3): "73c91ff2d7835124",
     }
 
     def test_frozen_nested_rotations(self, corpus_diagrams):
@@ -122,12 +151,8 @@ class TestResolution:
         assert covered == set(self.NESTED)
         for (name, n), expected in self.NESTED.items():
             c = cable(corpus_diagrams[name], n)
-            got = tuple(
-                hashlib.sha256(repr(ribbon_graph(c, side).rotations).encode())
-                .hexdigest()[:16]
-                for side in "AB"
-            )
-            assert got == expected, (name, n)
+            got = hashlib.sha256(repr(ribbon_graph(c).rotations).encode())
+            assert got.hexdigest()[:16] == expected, (name, n)
 
 
 class TestRibbonGraphBasics:
@@ -135,7 +160,6 @@ class TestRibbonGraphBasics:
         g = RibbonGraph(((0, 1),))
         assert g.vertex_count == 1
         assert g.edge_count == 1
-        assert g.loop_mask() == 1
         assert g.faces(1) == 2
         assert genus(g, 1) == 0
 
@@ -151,7 +175,6 @@ class TestRibbonGraphBasics:
         g = RibbonGraph(((0,), (1,)))
         ends = [v for v, rot in enumerate(g.rotations) if 0 in rot or 1 in rot]
         assert ends == [0, 1]
-        assert g.loop_mask() == 0
         assert g.faces(1) == 1
         assert component_count(g, 1) == 1
         assert component_count(g, 0) == 2
@@ -194,7 +217,7 @@ class TestGenusFixtures:
     def test_genus_never_increases_under_deletion(self, corpus_diagrams):
         for name in ("trefoil-left", "loopy-unknot", "figure-eight"):
             d = corpus_diagrams[name]
-            g = ribbon_graph(d, "A")
+            g = ribbon_graph(d)
             for mask in range(1 << g.edge_count):
                 for e in range(g.edge_count):
                     if mask & (1 << e):
@@ -203,12 +226,12 @@ class TestGenusFixtures:
 
 class TestDuality:
     """faces(subset of one state graph) == circles of the state that
-    flips that subset."""
+    flips that subset; the all-B graph is the mirror's all-A graph."""
 
     def _check(self, d):
         c = d.crossing_count
-        g_a = ribbon_graph(d, "A")
-        g_b = ribbon_graph(d, "B")
+        g_a = ribbon_graph(d)
+        g_b = ribbon_graph(mirror(d))
         for mask in range(1 << c):
             assert g_a.faces(mask) == oracle_circles(d, _choices(mask, c, "B"))
             assert g_b.faces(mask) == oracle_circles(d, _choices(mask, c, "A"))
@@ -234,8 +257,8 @@ class TestFaceCombinatorics:
     def _graphs(self, corpus_diagrams):
         for d in corpus_diagrams.values():
             if d.crossing_count:
-                yield ribbon_graph(d, "A")
-                yield ribbon_graph(d, "B")
+                yield ribbon_graph(d)
+                yield ribbon_graph(mirror(d))
 
     def test_single_deletion_moves_faces_by_one(self, corpus_diagrams):
         for g in self._graphs(corpus_diagrams):
@@ -262,18 +285,16 @@ class TestFaceCombinatorics:
 
 class TestSubgraphHelpers:
     def test_loopy_unknot_loop_structure(self, corpus_diagrams):
-        g = ribbon_graph(corpus_diagrams["loopy-unknot"], "A")
+        d = corpus_diagrams["loopy-unknot"]
+        g = ribbon_graph(d)
         assert g.vertex_count == 1
         assert g.edge_count == 3
-        assert g.loop_mask() == 0b111
+        assert circles(d, "A") == (1, 0b111)
         assert genus(g, 0b111) == 1  # two of the three loops interleave
-        assert genus(g, g.loop_mask()) == 1
+        assert genus(g, circles(d, "A")[1]) == 1
 
     def test_left_trefoil_has_no_loops(self, corpus_diagrams):
-        g = ribbon_graph(corpus_diagrams["trefoil-left"], "A")
-        assert g.loop_mask() == 0
-        assert g.faces(g.loop_mask()) == g.vertex_count
-
-    def test_loops_only_flag(self):
-        g = RibbonGraph(((0, 1, 2), (3,)))
-        assert g.loop_mask() == 0b01
+        d = corpus_diagrams["trefoil-left"]
+        g = ribbon_graph(d)
+        assert circles(d, "A") == (g.vertex_count, 0)
+        assert g.faces(0) == g.vertex_count
