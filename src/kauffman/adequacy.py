@@ -238,6 +238,8 @@ def analyze(
     the module docstring), rather than return a report whose sides
     disagree.
     """
+    if series < 0:
+        raise ValueError("stable-tail series length cannot be negative")
     if diagram.is_empty:
         return _empty_report(name)
     if n_max is None:

@@ -248,6 +248,8 @@ def _verify_entry(payload) -> dict:
 
 
 def _cmd_verify(diagram: None, args) -> dict:
+    if args.workers < 1:
+        raise ValueError("need at least one worker")
     entries = load_corpus_file(args.corpus) if args.corpus else bundled()
     payloads = [
         (e.name, e.pd, e.a_adequate, e.b_adequate, args.nmax, args.cap)

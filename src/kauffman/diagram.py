@@ -11,11 +11,13 @@ positive exactly when the overstrand enters at slot 3 and leaves at
 slot 1.  Validation traces each component once to recover its
 orientation, which also works for short components where "label plus
 one" alone is ambiguous, and reads every sign off that one trace.
-Cables are labelled in closed form from the components of the diagram
-they thicken, then validated like any other code.  :func:`simplify`
-removes the R1 kinks and R2 bigons of a knot before ``cjones`` cables
-it; every other command, and :func:`kauffman.jones.reduced` on the
-diagram as given, the reference the tests hold it to, keep the input.
+Only parsed input is validated: mirrors, cables and simplifications
+take their components and signs in closed form from the diagram they
+derive from, and the tests hold each to a validation of its own slot
+tuples.  :func:`simplify` removes the R1 kinks and R2 bigons of a knot
+before ``cjones`` cables it; every other command, and
+:func:`kauffman.jones.reduced` on the diagram as given, the reference
+the tests hold it to, keep the input.
 
 Validation rejects codes that do not describe a planar diagram: the
 counterclockwise slot order at every crossing makes the code a map on a
@@ -83,8 +85,8 @@ class LinkDiagram:
 
     ``partner`` is the port table: port ``4*ci + si`` is slot ``si`` of
     crossing ``ci``, and ``partner[p]`` is the port at the other end of
-    the arc leaving ``p``.  It is derived data, built once by
-    validation, and left out of equality, hashing and ``repr``, as is
+    the arc leaving ``p``.  It is derived data, built once with the
+    diagram, and left out of equality, hashing and ``repr``, as is
     the private memo that :meth:`_memoize` fills.
     """
 
@@ -178,11 +180,19 @@ def from_slot_tuples(
     _check_connected(partner)
     _check_planar(partner)
     components, signs = _trace_components(tuples, partner)
-    crossings = tuple(
-        Crossing(slots=tuple(t), sign=s) for t, s in zip(tuples, signs)
-    )
+    return _assemble(tuples, signs, components, partner)
+
+
+def _assemble(tuples: list, signs: list[int], components: list | tuple,
+              partner: list[int]) -> LinkDiagram:
+    """The diagram with these slot tuples, signs, components and port
+    table, taken as given: every caller has validated or derived them."""
     return LinkDiagram(
-        crossings=crossings, components=components, partner=tuple(partner)
+        crossings=tuple(
+            Crossing(slots=tuple(t), sign=s) for t, s in zip(tuples, signs)
+        ),
+        components=tuple(components),
+        partner=tuple(partner),
     )
 
 
@@ -381,22 +391,10 @@ def mirror(diagram: LinkDiagram) -> LinkDiagram:
     """
     if not diagram.crossings:
         return diagram
-    shift = [x.over_in_slot for x in diagram.crossings]
-
-    def moved(p: int) -> int:
-        return (p & ~3) | ((p - shift[p >> 2]) & 3)
-
-    partner = [0] * len(diagram.partner)
-    for p, q in enumerate(diagram.partner):
-        partner[moved(p)] = moved(q)
-    return LinkDiagram(
-        crossings=tuple(
-            Crossing(slots=x.slots[k:] + x.slots[:k], sign=-x.sign)
-            for x, k in zip(diagram.crossings, shift)
-        ),
-        components=diagram.components,
-        partner=tuple(partner),
-    )
+    rotated = [x.slots[x.over_in_slot:] + x.slots[:x.over_in_slot]
+               for x in diagram.crossings]
+    signs = [-x.sign for x in diagram.crossings]
+    return _assemble(rotated, signs, diagram.components, _port_table(rotated))
 
 
 def simplify(diagram: LinkDiagram) -> LinkDiagram:
@@ -410,10 +408,10 @@ def simplify(diagram: LinkDiagram) -> LinkDiagram:
     moves preserve the knot type and the bracket up to ``-A**(3*e)``
     per kink of writhe ``e``, which the writhe correction of
     :func:`kauffman.jones.reduced` cancels, so the reduced value is
-    unchanged.  The kept crossings are relabelled along the knot and
-    keep their signs.  Links, crossingless diagrams and knots with
-    nothing to remove come back as the same object; a knot that
-    reduces fully becomes ``crossingless(1)``.
+    unchanged.  The kept crossings are relabelled ``1..2k`` along the
+    knot, one component, and keep their signs.  Links, crossingless
+    diagrams and knots with nothing to remove come back as the same
+    object; a knot that reduces fully becomes ``crossingless(1)``.
     """
     if len(diagram.components) != 1 or not diagram.crossings:
         return diagram
@@ -462,12 +460,9 @@ def simplify(diagram: LinkDiagram) -> LinkDiagram:
         entry = partner[leave]
         for v in (leave, entry):
             slots[index[v >> 2]][v & 3] = label
-    result = from_slot_tuples([tuple(s) for s in slots])
-    if [x.sign for x in result.crossings] != [
-        diagram.crossings[ci].sign for ci in kept
-    ]:
-        raise AssertionError("simplifying changed a crossing sign")
-    return result
+    signs = [diagram.crossings[ci].sign for ci in kept]
+    knot = [tuple(range(1, 2 * len(kept) + 1))]
+    return _assemble(slots, signs, knot, _port_table(slots))
 
 
 def cable(diagram: LinkDiagram, n: int) -> LinkDiagram:
@@ -476,7 +471,8 @@ def cable(diagram: LinkDiagram, n: int) -> LinkDiagram:
     Each crossing becomes an n-by-n grid of crossings of the same sign;
     parallel copies of an arc never interleave.  Arc labels of the result
     run along each copy of each component in turn, in the diagram's
-    component order, so the width-1 labels would be the diagram's own:
+    component order, so the width-1 labels would be the diagram's own
+    and every copy is one component of consecutive labels:
     ``cable(d, 1)`` returns ``d`` itself, memo and all.  A wider cable is
     built once per diagram object and width.
     """
@@ -494,14 +490,19 @@ def _build_cable(diagram: LinkDiagram, n: int) -> LinkDiagram:
     # Copy k (from 0) of a component with first arc lo and L arcs passes
     # n labels per base arc a: the copy of a, then the n - 1 arcs inside
     # the grid at its head.  Copies follow one another, components in
-    # order, so step s after a is n*n*(lo-1) + k*n*L + (a-lo)*n + 1 + s.
+    # order, so step s after a is n*n*(lo-1) + k*n*L + (a-lo)*n + 1 + s,
+    # and copy k is the component of the n*L labels from first[lo] +
+    # k*stride[lo].
     first = [0] * (diagram.arc_count + 1)
     stride = [0] * (diagram.arc_count + 1)
+    components: list[tuple[int, ...]] = []
     for comp in diagram.components:
         lo = comp[0]
         for a in comp:
             first[a] = n * n * (lo - 1) + (a - lo) * n + 1
             stride[a] = n * len(comp)
+        heads = range(first[lo], first[lo] + n * stride[lo], stride[lo])
+        components += [tuple(range(h, h + stride[lo])) for h in heads]
 
     def strand(arc_in: int, arc_out: int, k: int) -> list[int]:
         """Copy k through the grid at the head of ``arc_in``."""
@@ -524,10 +525,5 @@ def _build_cable(diagram: LinkDiagram, n: int) -> LinkDiagram:
                     o = over[y]
                     raw.append((u[y], o[n - 1 - k], u[y + 1], o[n - k]))
 
-    result = from_slot_tuples(raw)
-    expected_signs = [
-        x.sign for x in diagram.crossings for _ in range(n * n)
-    ]
-    if [c_.sign for c_ in result.crossings] != expected_signs:
-        raise AssertionError("cabling changed a crossing sign")
-    return result
+    signs = [x.sign for x in diagram.crossings for _ in range(n * n)]
+    return _assemble(raw, signs, components, _port_table(raw))

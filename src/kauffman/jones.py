@@ -31,6 +31,8 @@ trefoil is the classical Jones polynomial ``-q**-4 + q**-3 + q**-1``.
 
 from __future__ import annotations
 
+from math import comb
+
 from .bracket import DELTA, bracket
 from .diagram import LinkDiagram, cable, writhe
 from .laurent import LaurentPoly
@@ -47,22 +49,14 @@ def chebyshev(n: int) -> dict[int, int]:
     """``{power: coefficient}`` of the Chebyshev polynomial of the
     second kind ``S_n``, in increasing power order; absent powers have
     coefficient zero.  ``S_0 = 1``, ``S_1 = x`` and
-    ``S_{k+1} = x*S_k - S_{k-1}``, so the powers run through
-    ``n, n-2, n-4, ...``."""
+    ``S_{k+1} = x*S_k - S_{k-1}`` give the closed form
+    ``S_n = sum_k (-1)**k * C(n-k, k) * x**(n-2k)``, so the powers run
+    through ``n, n-2, n-4, ...``."""
     if n < 0:
         raise ValueError("Chebyshev index must be nonnegative")
-    prev = {0: 1}
-    cur = {1: 1}
-    if n == 0:
-        cur = prev
-    else:
-        for _ in range(n - 1):
-            nxt = {m + 1: c for m, c in cur.items()}
-            for m, c in prev.items():
-                nxt[m] = nxt.get(m, 0) - c
-            prev = cur
-            cur = {m: c for m, c in nxt.items() if c}
-    return dict(sorted(cur.items()))
+    return {
+        n - 2 * k: (-1) ** k * comb(n - k, k) for k in range(n // 2, -1, -1)
+    }
 
 
 def _counted_sum(diagram: LinkDiagram, n: int, cap: int | None) -> LaurentPoly:

@@ -140,6 +140,20 @@ class TestExitCodes:
         assert rc == 2
         assert "error: cable width must be nonnegative" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["adequacy", "--series", "-1", KINK_POS],
+         "stable-tail series length cannot be negative"),
+        (["verify", "--workers", "0"], "need at least one worker"),
+        (["verify", "--workers", "-2"], "need at least one worker"),
+    ], ids=["series-negative", "workers-zero", "workers-negative"])
+    def test_counts_below_their_floor_are_two(self, capsys, argv, message):
+        # like --nmax 0: a count out of range is bad usage, not a
+        # silently different run
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_unreadable_input_file_is_two(self, capsys, tmp_path):
         rc, out, err = run(capsys, "bracket", str(tmp_path))
         assert rc == 2

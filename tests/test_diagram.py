@@ -8,6 +8,7 @@ re-derivation.
 
 import hashlib
 import re
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -23,10 +24,12 @@ from kauffman.diagram import (
     mirror,
     parse_pd,
     serialize,
+    simplify,
     writhe,
 )
 
-from conftest import small_pool
+from conftest import braid_closure, seeded_closures, small_pool
+from test_rmoves import CORPUS_KNOTS, add_bigon, add_kink, seeded_knots
 
 # name -> (writhe, component count, arc count, free loops, crossing signs)
 FROZEN_SHAPE = {
@@ -193,6 +196,7 @@ class TestMirror:
         # up to the orientation the code leaves open
         base = [d for d in corpus_diagrams.values() if d.crossings]
         base += [d for d in small_pool() if d.crossings]
+        base += seeded_closures(11, 40)
         reoriented = set()
         for d in base + [cable(d, n) for d in base for n in (2, 3)]:
             m = mirror(d)
@@ -317,3 +321,53 @@ class TestSmallPool:
         assert len(c.crossings) == len(d.crossings) * n * n
         assert writhe(c) == writhe(d) * n * n
         assert parse_pd(serialize(c)) == c
+
+
+class TestDerivedBuilds:
+    """Cables, mirrors and simplifications are built from their source
+    diagram's validated data, never validated again.  Each must equal
+    the validation of its own slot tuples, which stays the independent
+    reference: the same diagram, port table, components and signs."""
+
+    @staticmethod
+    def _matches_validation(built):
+        rebuilt = from_slot_tuples([x.slots for x in built.crossings])
+        signs = [x.sign for x in built.crossings]
+        return (built == rebuilt and built.partner == rebuilt.partner
+                and built.components == rebuilt.components
+                and signs == [x.sign for x in rebuilt.crossings])
+
+    def _bases(self, corpus_diagrams):
+        bases = [d for d in corpus_diagrams.values() if d.crossings]
+        bases += [d for d in small_pool() if d.crossings]
+        bases += seeded_closures(11, 40)
+        return bases + [mirror(d) for d in bases]
+
+    def test_cables_and_their_mirrors(self, corpus_diagrams):
+        built = [
+            cable(d, n)
+            for d in self._bases(corpus_diagrams)
+            for n in (2, 3, 4, 5) if d.crossing_count * n * n <= 100
+        ]
+        built += [mirror(c) for c in built]
+        assert len(built) > 1000
+        assert max(c.crossing_count for c in built) == 100
+        for c in built:
+            assert self._matches_validation(c), serialize(c)
+
+    def test_simplified_padded_knots(self, corpus_diagrams):
+        knots = [corpus_diagrams[name] for name in CORPUS_KNOTS]
+        knots += [braid_closure(*b) for b in seeded_knots(12, 40, range(5, 11))]
+        knots += [mirror(k) for k in knots]
+        rng = Random(13)
+        checked = 0
+        for knot in knots:
+            moved, _ = add_kink(knot, rng)
+            moved = add_bigon(moved, rng)
+            for d in (knot, moved):
+                s = simplify(d)
+                if s is d or not s.crossings:
+                    continue
+                checked += 1
+                assert self._matches_validation(s), serialize(d)
+        assert checked >= 70

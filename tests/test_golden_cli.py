@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from kauffman import cli, states
+from kauffman import cli, diagram, states
 from kauffman.corpus import bundled
 from kauffman.diagram import parse_pd
 
@@ -86,6 +86,30 @@ def test_the_battery_never_orients(monkeypatch):
     assert len(checked) == 180
     for expected in checked:
         assert run(expected["argv"]) == expected
+
+
+def test_only_the_parse_is_validated(monkeypatch):
+    # cables and simplifications are built from the parsed diagram's
+    # validated data; tracing components is validation, so it runs once
+    # per command on a code with crossings, for the parse alone
+    traces = []
+
+    def counted(tuples, partner):
+        traces.append(len(tuples))
+        return trace(tuples, partner)
+
+    trace = diagram._trace_components
+    monkeypatch.setattr(diagram, "_trace_components", counted)
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    checked = [
+        g for g in golden if g["argv"][0] in ("cjones", "adequacy", "cable")
+    ]
+    assert len(checked) == 204
+    for expected in checked:
+        crossings = parse_pd(expected["argv"][-1]).crossing_count
+        traces.clear()
+        assert run(expected["argv"]) == expected
+        assert traces == ([crossings] if crossings else []), expected["argv"]
 
 
 if __name__ == "__main__":
