@@ -55,7 +55,7 @@ from math import comb
 
 from kauffman.diagram import LinkDiagram
 from kauffman.laurent import LaurentPoly
-from kauffman.states import circles, ribbon_graph
+from kauffman.states import circles, resolve
 
 __all__ = [
     "BRACKET_ENGINES",
@@ -242,8 +242,9 @@ def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
     joins ``(2x, 2x + 1)`` and ``(2y, 2y + 1)``, a present one
     ``(2x, 2y + 1)`` and ``(2y, 2x + 1)``.  Edge ``e`` owns darts
     ``2e, 2e + 1``, so these are the pairs of ends ``4e .. 4e + 3``
-    that crossing ``e``'s A and B joins connect.  Only the graph's
-    rotations are read; the tests hold each subset's face count to
+    that crossing ``e``'s A and B joins connect.  The rotations are
+    :func:`kauffman.states.resolve`'s circles, read as they come; the
+    tests hold each subset's face count to
     :meth:`kauffman.states.RibbonGraph.faces`.
     """
     c = diagram.crossing_count
@@ -254,9 +255,8 @@ def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
             f"subgraph sum over 2^{c} edge subsets exceeds cap {cap}",
             {"crossings": c, "cap": cap},
         )
-    graph = ribbon_graph(diagram)
     corners = [0] * (4 * c)
-    for rot in graph.rotations:
+    for rot in resolve(diagram):
         for d, nxt in zip(rot, rot[1:] + rot[:1]):
             corners[2 * d + 1] = 2 * nxt
             corners[2 * nxt] = 2 * d + 1
@@ -308,8 +308,9 @@ def _greedy_order(ends, start, bound):
     return order, opens, score
 
 
-def _sweep_order(diagram: LinkDiagram) -> list[int]:
-    """A crossing order that keeps the sweep's open boundary small.
+def _sweep_order(diagram: LinkDiagram) -> tuple[list[int], list[int]]:
+    """A crossing order that keeps the sweep's open boundary small, and
+    the open-port count after each of its steps.
 
     The default is the greedy of :func:`_greedy_order` from crossing 0.
     The sweep's work along it is estimated as the sum over its steps of
@@ -332,7 +333,7 @@ def _sweep_order(diagram: LinkDiagram) -> list[int]:
     best, opens, bound = _greedy_order(ends, 0, float("inf"))
     starts = min(_STARTS, c)
     if sum(comb(o, o // 2) // (o // 2 + 1) for o in opens) <= starts * c:
-        return best
+        return best, opens
     rank = sorted(range(c), key=lambda ci: sorted(diagram.crossings[ci].slots))
     pos = [0] * c
     for r, ci in enumerate(rank):
@@ -341,36 +342,40 @@ def _sweep_order(diagram: LinkDiagram) -> list[int]:
     for i in range(starts):
         found = _greedy_order(ranked, i * c // starts, bound)
         if found is not None:
-            order, _, bound = found
+            order, opens, bound = found
             best = [rank[r] for r in order]
-    return best
+    return best, opens
 
 
-def _frontier_plan(diagram: LinkDiagram, order: list[int]):
-    """The open boundary of every step, built in O(4c) in all, and the
-    bits of a key field.
+def _frontier_plan(diagram: LinkDiagram, order: list[int], width: int):
+    """The open boundary of every step, built in one pass, and the bits
+    of a key field, for an order with at most ``width`` open ports
+    after any step (:func:`_sweep_order`'s counts).
 
     A port holds a key slot from the step that processes its arc
-    partner's crossing to the step that processes its own; freed slots
-    are reused.  The field of slot ``s`` in a key holds the slot of the
-    open port's partner plus one, and 0 while no port holds ``s``.
-    Per step, with the crossing's ports named 0..3: the mask of the
-    fields it reads; each read port's name and its field's shift; the
-    read ports by field value (their slot plus one); per port the field
-    value of the opened port at the other end of its arc, 0 if none;
-    the bits ``4i + j`` and ``4j + i`` of each arc from port ``i`` back
-    to port ``j``; and, last, the open-port count after the step.
+    partner's crossing to the step that processes its own.  A step frees
+    its read slots before it opens ports, so ``width`` slots suffice;
+    the last freed is reused first, and fresh slots go lowest first.
+    The field of slot ``s`` in a key holds the slot of the open port's
+    partner plus one, and 0 while no port holds ``s``.  Per step, with
+    the crossing's ports named 0..3: the mask of the fields it reads;
+    each read port's name and its field's shift; the read ports by field
+    value (their slot plus one); per port the field value of the opened
+    port at the other end of its arc, 0 if none; and the bits ``4i + j``
+    and ``4j + i`` of each arc from port ``i`` back to port ``j``.
     """
     partner = diagram.partner
+    bits = width.bit_length()  # a field holds 0..width
+    field = (1 << bits) - 1
     slot_of = [-1] * len(partner)
-    free: list[int] = []
-    width = open_ports = 0
-    raw = []
+    free = list(range(width - 1, -1, -1))
+    steps = []
     for ci in order:
         base = 4 * ci
         reads = [(i, slot_of[base + i]) for i in range(4)
                  if slot_of[base + i] >= 0]
         free.extend(s for _, s in reads)
+        read_mask = sum(field << (bits * s) for _, s in reads)
         opened = [0] * 4
         arcs = 0
         for i in range(4):
@@ -380,22 +385,11 @@ def _frontier_plan(diagram: LinkDiagram, order: list[int]):
             if q >> 2 == ci:
                 arcs |= 1 << 4 * i + (q & 3)
                 continue
-            s = slot_of[q] = free.pop() if free else width
-            width = max(width, s + 1)
+            s = slot_of[q] = free.pop()
             opened[i] = s + 1
-            open_ports += 1
-        open_ports -= len(reads)
-        raw.append((reads, opened, arcs, open_ports))
-    bits = width.bit_length()  # a field holds 0..width
-    field = (1 << bits) - 1
-    steps = []
-    for reads, opened, arcs, open_ports in raw:
-        read_mask = 0
-        for _, s in reads:
-            read_mask |= field << (bits * s)
         shifts = [(i, bits * s) for i, s in reads]
         local = {s + 1: i for i, s in reads}
-        steps.append((read_mask, shifts, local, opened, arcs, open_ports))
+        steps.append((read_mask, shifts, local, opened, arcs))
     return steps, bits
 
 
@@ -439,7 +433,7 @@ def _move(far: int, step, bits: int) -> list[int]:
     crossing's outside ends; a read port whose strand returns to the
     crossing is mapped back to the port at its other end.
     """
-    read_mask, shifts, local, opened, strands, _ = step
+    read_mask, shifts, local, opened, strands = step
     field = (1 << bits) - 1
     ends = opened.copy()  # per port, its outside end's slot plus one
     clear = read_mask
@@ -504,12 +498,13 @@ def _weight_slots(c: int, all_b: int) -> tuple[int, int]:
     return c + 3, all_b
 
 
-def _cap_exceeded(max_states, done, c, states, step) -> CapExceeded:
-    """The error of a sweep whose table outgrew ``max_states``."""
+def _cap_exceeded(max_states, done, c, states, opens) -> CapExceeded:
+    """The error of a sweep whose table outgrew ``max_states`` in step
+    ``done``, from 1, of an order with open-port counts ``opens``."""
     return CapExceeded(
         f"open-boundary pairings exceed max_states={max_states}",
         {"crossings_done": done, "crossings_total": c,
-         "states": states, "open_ports": step[-1]},
+         "states": states, "open_ports": opens[done - 1]},
     )
 
 
@@ -540,7 +535,8 @@ def bracket_fast(
     c = diagram.crossing_count
     if c == 0:
         return _crossingless_value(diagram)
-    steps, field_bits = _frontier_plan(diagram, _sweep_order(diagram))
+    order, opens = _sweep_order(diagram)
+    steps, field_bits = _frontier_plan(diagram, order, max(opens))
     bits, offset = _weight_slots(c, circles(diagram, "B")[0])
     two = 2 * bits
     three = 3 * bits
@@ -572,7 +568,7 @@ def bracket_fast(
             prior = get(bkey)
             new_states[bkey] = w if prior is None else prior + w
             if len(new_states) > max_states:
-                raise _cap_exceeded(max_states, done, c, len(new_states), step)
+                raise _cap_exceeded(max_states, done, c, len(new_states), opens)
             bkey = key | vals_b
             if loops_b == 1:
                 w = -((weight << bits) + (weight >> bits))
@@ -583,7 +579,7 @@ def bracket_fast(
             prior = get(bkey)
             new_states[bkey] = w if prior is None else prior + w
             if len(new_states) > max_states:
-                raise _cap_exceeded(max_states, done, c, len(new_states), step)
+                raise _cap_exceeded(max_states, done, c, len(new_states), opens)
         states = new_states
 
     if list(states) != [0]:

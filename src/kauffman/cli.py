@@ -403,6 +403,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # a cap below zero is bad usage on every input, not a cap that
+        # trips only where the engine gets as far as checking it
+        if (getattr(args, "cap", None) or 0) < 0:
+            raise ValueError("resource cap cannot be negative")
         diagram = parse_pd(_load_pd(args.pd)) if "pd" in args else None
         doc = args.fn(diagram, args)
     except InvariantViolation as err:

@@ -101,10 +101,9 @@ class LinkDiagram:
     def _memoize(self, key: tuple, build: Callable[[], T]) -> T:
         """``build()``, computed once per diagram object under ``key``.
 
-        Holds the cables by width, their brackets by engine and cap, the
-        extreme states' circles by side and the all-A ribbon graph.  The
-        memo lives and dies with this object: two parses of one code
-        share nothing.
+        Holds the cables by width, their brackets by engine and cap and
+        the extreme states' circles by side.  The memo lives and dies
+        with this object: two parses of one code share nothing.
         """
         if key not in self._memo:
             self._memo[key] = build()
@@ -145,7 +144,7 @@ def parse_pd(text: str) -> LinkDiagram:
     """
     tuples: list[tuple[int, int, int, int]] = []
     loops = 0
-    for token in text.replace("\n", " ").split():
+    for token in text.split():
         if token == "O":
             loops += 1
             continue
@@ -262,50 +261,39 @@ def _trace_components(
     slot 1.
     """
     # each label's first port: the trace of a component starts there
-    first_port: dict[int, int] = {}
+    first_port = [0] * (len(partner) // 2 + 1)
     for p in reversed(range(len(partner))):
         first_port[tuples[p >> 2][p & 3]] = p
-    seen: set[int] = set()
     components: list[tuple[int, ...]] = []
     signs = [0] * len(tuples)
 
-    for start in sorted(first_port):
-        if start in seen:
-            continue
-        arcs: list[int] = []
-        ports: list[int] = []
-        arc = start
-        port = first_port[start]
-        while True:
-            arcs.append(arc)
+    # Every label below ``start`` lies on an earlier component, so
+    # ``start`` is the smallest label of its own, which is the block
+    # ``start .. start + size - 1`` once checked.
+    start = 1
+    while start < len(first_port):
+        # the port where each arc of the trace enters a passage
+        ports = [first_port[start]]
+        while (port := partner[_passage_exit(ports[-1])]) != ports[0]:
             ports.append(port)
-            exit_port = _passage_exit(port)
-            arc = tuples[exit_port >> 2][exit_port & 3]
-            port = partner[exit_port]
-            if arc == start and port == first_port[start]:
-                break
+        arcs = [tuples[p >> 2][p & 3] for p in ports]
+        size = len(arcs)
         labels = sorted(arcs)
-        lo, hi = labels[0], labels[-1]
-        if labels != list(range(lo, hi + 1)):
+        if labels != list(range(start, start + size)):
             raise InvalidDiagramError(
                 f"component arcs {labels} do not form a consecutive block"
             )
-
-        def succ(a: int) -> int:
-            return lo if a == hi else a + 1
-
-        # Each reading maps an arc to the port where it enters a passage.
-        size = len(arcs)
-        readings: list[dict[int, int]] = []
-        if all(arcs[(i + 1) % size] == succ(arcs[i]) for i in range(size)):
-            readings.append(dict(zip(arcs, ports)))
-        if all(arcs[i] == succ(arcs[(i + 1) % size]) for i in range(size)):
-            # Reversed reading: arc[i+1] really enters where the trace
-            # emitted it, at the opposite slot of the passage.
-            readings.append({
-                arcs[(i + 1) % size]: _passage_exit(p)
-                for i, p in enumerate(ports)
-            })
+        # Each reading lists the port where arc i of the trace enters a
+        # passage.  Reversed, arc i really enters where the trace left
+        # arc i - 1, at the opposite slot of that passage.
+        readings = [
+            r for step, r in (
+                (1, ports),
+                (-1, [_passage_exit(ports[i - 1]) for i in range(size)]),
+            )
+            if all((arcs[(i + 1) % size] - arcs[i] - step) % size == 0
+                   for i in range(size))
+        ]
         if not readings:
             raise InvalidDiagramError(
                 f"arc numbering is not consecutive along a component: {arcs}"
@@ -314,8 +302,7 @@ def _trace_components(
         # two arcs both label readings are consecutive and only this
         # rule picks the orientation.
         valid = [
-            r for r in readings
-            if all(p & 3 == 0 for p in r.values() if p & 1 == 0)
+            r for r in readings if all(p & 3 == 0 for p in r if p & 1 == 0)
         ]
         if not valid:
             raise InvalidDiagramError(
@@ -324,14 +311,12 @@ def _trace_components(
             )
         # Both orientations are consistent only for a short component
         # crossing nothing but overstrands.  Break the tie by the
-        # smallest port of the smallest arc.
-        entry = min(valid, key=lambda r: r[lo])
-        for p in entry.values():
+        # smallest port of the smallest arc, arc 0.
+        for p in min(valid, key=lambda r: r[0]):
             if p & 1:
                 signs[p >> 2] = 1 if p & 3 == 3 else -1
-        seen.update(arcs)
-        # either reading is consecutive, so from lo the arcs run lo..hi
-        components.append(tuple(labels))
+        components.append(tuple(range(start, start + size)))
+        start += size
     return tuple(components), signs
 
 

@@ -1,5 +1,5 @@
 """The all-A and all-B Kauffman states: their circles and loops, and
-the all-A ribbon graph.
+the rotations of the all-A ribbon graph.
 
 Resolving every crossing of a diagram the same way, A or B, leaves a
 disjoint union of circles in the plane.  The battery and the sweep read
@@ -9,7 +9,9 @@ Recording which circles each crossing touched gives a ribbon graph, one
 vertex per circle and one edge per crossing.  ``bracket_subgraph`` sums
 over the spanning subgraphs of the all-A one, whose faces are the mixed
 states' circles (Dasbach, Futer, Kalfagianni, Lin and Stoltzfus, JCTB
-2008).  The all-B state's ribbon graph is the mirror's all-A one.
+2008), reading its rotations straight from :func:`resolve`;
+:class:`RibbonGraph` wraps them for the tests' per-mask face count.
+The all-B state's ribbon graph is the mirror's all-A one.
 
 A rotation at a circle is the cyclic order of its chord ends read along
 the circle: counterclockwise for circles at even depth below the region
@@ -30,7 +32,6 @@ __all__ = [
     "RibbonGraph",
     "circles",
     "resolve",
-    "ribbon_graph",
 ]
 
 
@@ -198,13 +199,3 @@ class RibbonGraph:
         count += sum(1 for t in touched if not t)
         return count
 
-
-def ribbon_graph(diagram: LinkDiagram) -> RibbonGraph:
-    """The ribbon graph of the all-A state: one vertex per circle, one
-    edge per crossing, edge i joining the circles at crossing i's two
-    joins.  Built once per diagram object."""
-    # Ribbon dart ids: crossing ci's chord owns darts 2ci (at join 0)
-    # and 2ci + 1 (at join 1); flat join index 2ci + j is the dart id.
-    return diagram._memoize(
-        ("graph",), lambda: RibbonGraph(resolve(diagram))
-    )

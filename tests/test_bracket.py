@@ -28,7 +28,7 @@ from kauffman.bracket import (
 )
 from kauffman.diagram import LinkDiagram, cable, from_slot_tuples, mirror
 from kauffman.laurent import InexactDivisionError, LaurentPoly
-from kauffman.states import ribbon_graph
+from kauffman.states import RibbonGraph, resolve
 
 from conftest import seeded_closures, small_pool
 from oracles import checkerboard_tree_counts, oracle_bracket
@@ -247,10 +247,23 @@ def _listed_greedy(diagram):
     return order
 
 
+def _open_counts(diagram, order):
+    """After each step of a sweep along ``order``, the arcs between a
+    processed and an unprocessed crossing: one open port each."""
+    done = set()
+    counts = []
+    for ci in order:
+        done.add(ci)
+        counts.append(sum(
+            1 for p, q in enumerate(diagram.partner)
+            if p >> 2 in done and q >> 2 not in done
+        ))
+    return counts
+
+
 def _score(diagram, order):
     """Sum over the sweep's steps of 2 ** (open ports after the step)."""
-    steps, _ = _frontier_plan(diagram, order)
-    return sum(1 << open_ports for *_, open_ports in steps)
+    return sum(1 << o for o in _open_counts(diagram, order))
 
 
 def _kink_chain(n, sign):
@@ -278,11 +291,11 @@ class TestSweepBeyondOracle:
         # seeds, so the sweep meets other boundaries, keys and merges
         d = cable(corpus_diagrams[name], width)
         expected = bracket_fast(d)
-        order = _sweep_order(d)
+        order, _ = _sweep_order(d)
         changed = 0
         for seed in range(5):
             relisted, perm = _relabelled(d, seed)
-            changed += [perm[ci] for ci in _sweep_order(relisted)] != order
+            changed += [perm[ci] for ci in _sweep_order(relisted)[0]] != order
             assert bracket_fast(relisted) == expected
         assert changed >= 3
 
@@ -308,11 +321,29 @@ class TestSweepBeyondOracle:
             for width in (2, 3, 4):
                 wide = cable(d, width)
                 listed = _listed_greedy(wide)
-                chosen = _sweep_order(wide)
+                chosen, _ = _sweep_order(wide)
                 assert sorted(chosen) == list(range(wide.crossing_count))
                 assert chosen == listed or _score(wide, chosen) < _score(
                     wide, listed
                 )
+
+    def test_order_counts_size_the_plan(self, corpus_diagrams):
+        # the sweep sizes its key fields by the order search's own
+        # open-port counts, so they must be the counts of the order, and
+        # the plan must open exactly slots 1 .. max of them
+        wide = [
+            cable(d, width)
+            for d in corpus_diagrams.values() if d.crossing_count
+            for width in (1, 2, 3, 4)
+        ]
+        for d in wide + seeded_closures(11, 40):
+            order, opens = _sweep_order(d)
+            assert opens == _open_counts(d, order), d
+            width = max(opens)
+            steps, bits = _frontier_plan(d, order, width)
+            assert bits == width.bit_length()
+            opened = {v for step in steps for v in step[3] if v}
+            assert opened == set(range(1, width + 1)), d
 
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -483,7 +514,7 @@ class TestCheckersAgainstPerMaskWalks:
         self, corpus_diagrams, small_diagrams
     ):
         for d in self._diagrams(corpus_diagrams, small_diagrams):
-            graph = ribbon_graph(d)
+            graph = RibbonGraph(resolve(d))
             expected = _per_mask_bracket(d.crossing_count, graph.faces)
             assert bracket_subgraph(d) == expected, d
 

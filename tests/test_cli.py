@@ -145,10 +145,22 @@ class TestExitCodes:
          "stable-tail series length cannot be negative"),
         (["verify", "--workers", "0"], "need at least one worker"),
         (["verify", "--workers", "-2"], "need at least one worker"),
-    ], ids=["series-negative", "workers-zero", "workers-negative"])
+        *[(argv, "resource cap cannot be negative") for argv in (
+            ["bracket", "--cap", "-1", KINK_POS],
+            ["bracket", "--selftest", "--cap", "-1", LH_TREFOIL],
+            ["adequacy", "--cap", "-3", KINK_POS],
+            ["adequacy", "--cap", "-1", ""],
+            ["cjones", "--n", "2", "--cap", "-1", LH_TREFOIL],
+            ["cjones", "--n", "2", "--cap", "-1", "O"],
+            ["verify", "--cap", "-1"],
+        )],
+    ], ids=["series-negative", "workers-zero", "workers-negative",
+            "cap-bracket", "cap-selftest", "cap-adequacy", "cap-adequacy-empty",
+            "cap-cjones", "cap-cjones-loop", "cap-verify"])
     def test_counts_below_their_floor_are_two(self, capsys, argv, message):
         # like --nmax 0: a count out of range is bad usage, not a
-        # silently different run
+        # silently different run; a negative cap is rejected before any
+        # work, whether or not an engine would reach it on this input
         rc, out, err = run(capsys, *argv)
         assert rc == 2
         assert out == ""

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from kauffman.corpus import bundled
 from kauffman.diagram import (
+    DiagramError,
     InvalidDiagramError,
     LinkDiagram,
     PDSyntaxError,
@@ -150,6 +151,54 @@ class TestParseErrors:
     def test_negative_free_loops_rejected(self):
         with pytest.raises(InvalidDiagramError, match="cannot be negative"):
             LinkDiagram.crossingless(-1)
+
+
+def _random_layouts(seed, count):
+    """PD codes of ``count`` random label layouts of 1-6 crossings: the
+    labels ``1..2c``, each twice, dealt into the slots at random.  About
+    one in ten has one label replaced by a random one up to ``2c + 1``."""
+    rng = Random(seed)
+    codes = []
+    for _ in range(count):
+        c = rng.randint(1, 6)
+        labels = [a for a in range(1, 2 * c + 1) for _ in range(2)]
+        rng.shuffle(labels)
+        if rng.random() < 0.1:
+            labels[rng.randrange(4 * c)] = rng.randint(1, 2 * c + 1)
+        codes.append(" ".join(
+            "X[{},{},{},{}]".format(*labels[i:i + 4])
+            for i in range(0, 4 * c, 4)
+        ))
+    return codes
+
+
+def _parse_outcome(code):
+    """The components and signs a code parses to, or its error."""
+    try:
+        d = parse_pd(code)
+    except DiagramError as err:
+        return f"{type(err).__name__}: {err}"
+    return f"{d.components} {[x.sign for x in d.crossings]}"
+
+
+class TestParseOutcomesPinned:
+    """Every outcome of validation, pinned as one digest: components,
+    orientations and signs of the codes that parse, the error class and
+    message of those that do not.  The random layouts reach every check
+    of the component trace; the small pool, its mirrors and its width-2
+    cables hold the short components whose orientation only the slot
+    convention and the tie-break settle."""
+
+    # 319 of the 3,000 random layouts parse; the rest fail every check
+    DIGEST = "af214ab73fd2d9d76e6dcdc35851e1c8857745aad02db9592b581d6a6ea42634"
+
+    def test_outcomes_are_pinned(self):
+        pool = small_pool()
+        codes = _random_layouts(2024, 3000) + [
+            serialize(x) for d in pool for x in (d, mirror(d), cable(d, 2))
+        ]
+        record = "\n".join(f"{c}\t{_parse_outcome(c)}" for c in codes)
+        assert hashlib.sha256(record.encode()).hexdigest() == self.DIGEST
 
 
 class TestMirror:

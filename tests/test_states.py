@@ -4,11 +4,11 @@ face/circle duality.
 The load-bearing fact checked here: counting the circles of a state
 agrees with counting faces of spanning subgraphs of the extreme-state
 ribbon graphs, for every subset, on every bundled diagram.  The all-A
-graph is ``ribbon_graph(d)`` and the all-B graph the all-A graph of the
-mirror.  The circles come from the oracle's union-find over slot ends
-and the faces from rotation-system face tracing, two unrelated code
-paths, so agreement over all 2^e subsets is a strong cross-check of the
-dart conventions.
+graph is ``RibbonGraph(resolve(d))`` and the all-B graph the all-A
+graph of the mirror.  The circles come from the oracle's union-find
+over slot ends and the faces from rotation-system face tracing, two
+unrelated code paths, so agreement over all 2^e subsets is a strong
+cross-check of the dart conventions.
 """
 
 import hashlib
@@ -16,7 +16,7 @@ import hashlib
 import pytest
 
 from kauffman.diagram import LinkDiagram, cable, mirror
-from kauffman.states import RibbonGraph, circles, resolve, ribbon_graph
+from kauffman.states import RibbonGraph, circles, resolve
 
 from conftest import seeded_closures
 from oracles import oracle_circles
@@ -151,7 +151,7 @@ class TestResolution:
         assert covered == set(self.NESTED)
         for (name, n), expected in self.NESTED.items():
             c = cable(corpus_diagrams[name], n)
-            got = hashlib.sha256(repr(ribbon_graph(c).rotations).encode())
+            got = hashlib.sha256(repr(resolve(c)).encode())
             assert got.hexdigest()[:16] == expected, (name, n)
 
 
@@ -217,7 +217,7 @@ class TestGenusFixtures:
     def test_genus_never_increases_under_deletion(self, corpus_diagrams):
         for name in ("trefoil-left", "loopy-unknot", "figure-eight"):
             d = corpus_diagrams[name]
-            g = ribbon_graph(d)
+            g = RibbonGraph(resolve(d))
             for mask in range(1 << g.edge_count):
                 for e in range(g.edge_count):
                     if mask & (1 << e):
@@ -230,8 +230,8 @@ class TestDuality:
 
     def _check(self, d):
         c = d.crossing_count
-        g_a = ribbon_graph(d)
-        g_b = ribbon_graph(mirror(d))
+        g_a = RibbonGraph(resolve(d))
+        g_b = RibbonGraph(resolve(mirror(d)))
         for mask in range(1 << c):
             assert g_a.faces(mask) == oracle_circles(d, _choices(mask, c, "B"))
             assert g_b.faces(mask) == oracle_circles(d, _choices(mask, c, "A"))
@@ -257,8 +257,8 @@ class TestFaceCombinatorics:
     def _graphs(self, corpus_diagrams):
         for d in corpus_diagrams.values():
             if d.crossing_count:
-                yield ribbon_graph(d)
-                yield ribbon_graph(mirror(d))
+                yield RibbonGraph(resolve(d))
+                yield RibbonGraph(resolve(mirror(d)))
 
     def test_single_deletion_moves_faces_by_one(self, corpus_diagrams):
         for g in self._graphs(corpus_diagrams):
@@ -286,7 +286,7 @@ class TestFaceCombinatorics:
 class TestSubgraphHelpers:
     def test_loopy_unknot_loop_structure(self, corpus_diagrams):
         d = corpus_diagrams["loopy-unknot"]
-        g = ribbon_graph(d)
+        g = RibbonGraph(resolve(d))
         assert g.vertex_count == 1
         assert g.edge_count == 3
         assert circles(d, "A") == (1, 0b111)
@@ -295,6 +295,6 @@ class TestSubgraphHelpers:
 
     def test_left_trefoil_has_no_loops(self, corpus_diagrams):
         d = corpus_diagrams["trefoil-left"]
-        g = ribbon_graph(d)
+        g = RibbonGraph(resolve(d))
         assert circles(d, "A") == (g.vertex_count, 0)
         assert g.faces(0) == g.vertex_count
