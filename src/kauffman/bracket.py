@@ -30,15 +30,17 @@ Engines:
   crossing at a time and merges partial diagrams with identical
   open-strand matchings, the gluing of Bar-Natan's "Fast Khovanov
   homology computations" (JKTR 2007).  A state is keyed by its open
-  boundary alone, one integer of fields that name each open port's
-  partner, so a branch's key is two integer operations on its parent's.
-  Its weight is packed into one integer, in slots sized by the final
+  boundary, one integer of fields that name each open port's partner,
+  and one bit for the parity of its weight's degrees in ``u = A**2``,
+  which the pairing fixes; a branch's key is two integer operations on
+  its parent's.  So a weight is ``u**parity`` times a polynomial in
+  ``x = u**2``, packed into one integer, in slots sized by the final
   bracket, whose coefficients Thistlethwaite's spanning-tree expansion
   (Topology 26, 1987) bounds, not by the partial sums: packing is a ring
-  homomorphism, so intermediate digits may overflow.  Below ``u**0`` it
-  keeps one slot per circle of the all-B state, the paper's bound on the
-  lowest degree (:func:`_weight_slots`).  A value that fails the check
-  at ``A = 1`` is never returned.  The number of live states stays small
+  homomorphism, so intermediate digits may overflow.  Below ``x**0`` it
+  keeps one slot per two circles of the all-B state, the paper's bound
+  on the lowest degree (:func:`_weight_slots`).  A value that fails the
+  check at ``A = 1`` is never returned.  The number of live states stays small
   for cabled diagrams, which is where the exponential engines give out.
   Its cost is set by the crossing order (:func:`_sweep_order`): a greedy
   one that keeps the open boundary small, and where the sweep promises
@@ -399,16 +401,18 @@ _JOINS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
 
 @cache
 def _joins(strands: int) -> tuple:
-    """Per join, the circles it closes and the pairs of ports whose
-    outside ends it links, where bit ``4i + j`` of ``strands`` is set
-    for each strand that runs from port ``i`` of the crossing back to
-    port ``j``: the join's two pairs are spliced into the strands."""
+    """Per join, the circles it closes, whether it flips the parity of
+    the weight's u-degrees, and the pairs of ports whose outside ends it
+    links, where bit ``4i + j`` of ``strands`` is set for each strand
+    that runs from port ``i`` of the crossing back to port ``j``: the
+    join's two pairs are spliced into the strands.  The A join's ``u``
+    and each circle's ``u**+-1`` flip the parity."""
     ends = [4, 5, 6, 7]  # port i's outside end is named i + 4
     for b in range(16):
         if strands >> b & 1:
             ends[b >> 2] = b & 3
     out = []
-    for pairs in _JOINS:
+    for flip, pairs in zip((1, 0), _JOINS):
         link = dict(enumerate(ends))
         loops = 0
         for p, q in pairs:
@@ -418,73 +422,60 @@ def _joins(strands: int) -> tuple:
             else:
                 link[a] = b
                 link[b] = a
-        out.append((loops, tuple(
+        out.append((loops, (flip + loops) & 1, tuple(
             (x - 4, y - 4) for x, y in link.items() if x < y
         )))
     return tuple(out)
 
 
-def _move(far: int, step, bits: int) -> list[int]:
-    """What ``step`` of :func:`_frontier_plan` does to every key whose
-    read fields are ``far``: the mask of the fields it keeps, then per
-    join the circles it closes and the fields it sets.
-
-    Both joins re-pair the same slots, the read slots and those of the
-    crossing's outside ends; a read port whose strand returns to the
-    crossing is mapped back to the port at its other end.
-    """
-    read_mask, shifts, local, opened, strands = step
-    field = (1 << bits) - 1
-    ends = opened.copy()  # per port, its outside end's slot plus one
-    clear = read_mask
-    for i, shift in shifts:
-        t = far >> shift & field
-        j = local.get(t)
-        if j is None:
-            ends[i] = t
-            clear |= field << (bits * (t - 1))
-        else:  # j is read too and sets the other bit
-            strands |= 1 << 4 * i + j
-    move = [~clear]
-    for loops, pairs in _joins(strands):
-        vals = 0
-        for i, k in pairs:
-            a = ends[i]
-            b = ends[k]
-            vals |= b << (bits * (a - 1)) | a << (bits * (b - 1))
-        move += loops, vals
-    return move
-
-
 def _weight_slots(c: int, all_b: int) -> tuple[int, int]:
-    """Bits per slot and the slot of ``u**0`` of a packed weight, for
+    """Bits per slot and the slot of ``x**0`` of a packed weight, for
     a diagram of ``c`` crossings whose all-B state has ``all_b``
     circles.
 
-    A weight, a Laurent polynomial in ``u = A**2``, is packed as
-    ``u**offset`` times it, evaluated at ``u = X = 2**bits``.  That is
-    a ring homomorphism, so ``<< bits``, ``+`` and ``-`` act on packed
-    weights as multiplication by ``u``, addition and subtraction act on
-    polynomials, however large the coefficients grow: a digit may
-    overflow its slot, and nothing reads the digits until the end.
-    ``>> bits`` divides by ``X`` exactly when the packed polynomial
-    lies in ``u * Z[u]``.  The sweep shifts right only inside the factor
-    ``-(u + u**-1)`` of a closed circle, or its square for two, so the
-    product's lowest term is ``u**-1`` (``u**-2``) times the weight's.
-    The product is a sum of terms ``u**#A * delta**L`` of partial
-    states ``S``, ``#A`` their A joins and ``L`` their closed circles,
-    so every shift is exact once ``L - #A <= offset`` for all of them.
+    A weight, a Laurent polynomial in ``u = A**2``, is ``u**e * P`` with
+    ``P`` in ``x = u**2`` and ``e``, 0 or 1, the parity bit of its key
+    (:func:`bracket_fast`).  ``P`` is packed as ``x**offset`` times it,
+    evaluated at ``x = X = 2**bits``.  That is a ring homomorphism, so
+    ``<< bits``, ``+`` and ``-`` act on packed weights as multiplication
+    by ``x``, addition and subtraction act on polynomials, however large
+    the coefficients grow: a digit may overflow its slot, and nothing
+    reads the digits until the end.  ``>> bits`` divides by ``X``
+    exactly when the packed polynomial lies in ``x * Z[x]``.
 
-    The offset is ``all_b``.  The closed circles of the all-B partial
-    state are circles of the all-B state, so there ``L - #A <= all_b``.
-    Switching one crossing from B to A is a saddle, which changes the
-    number of closed circles by at most one while it adds an A join, so
-    ``L - #A`` never grows along the switches that reach ``S`` from the
-    all-B partial state.  At the end this is the paper's bound: the
-    lowest degree of the unnormalized bracket is at least
-    ``-c - 2 * all_b + 2``, so ``u**c * delta * <D>``, the final
-    weight, has no term below ``u**-all_b``, and on a chain of negative
-    curls it reaches that term.
+    A weight is a sum of terms ``u**#A * delta**L`` of partial states
+    ``S``, ``#A`` their A joins and ``L`` their closed circles, with
+    ``delta = -(u + u**-1)``, so it has no term below ``u**(#A - L)``.
+    The closed circles of the all-B partial state are circles of the
+    all-B state, so there ``L - #A <= all_b``.  Switching one crossing
+    from B to A is a saddle, which changes the number of closed circles
+    by at most one while it adds an A join, so ``L - #A`` never grows
+    along the switches that reach ``S`` from the all-B partial state.
+    So ``P`` has no term below x-degree ``(-all_b - e) / 2``, an integer
+    at least ``-floor((all_b + e) / 2) >= -ceil(all_b / 2)``, the
+    offset, for either parity.  At the end this is the paper's bound:
+    the lowest degree of the unnormalized bracket is at least
+    ``-c - 2 * all_b + 2``, so ``u**c * delta * <D>``, the final weight,
+    has no term below ``u**-all_b``, and on a chain of negative curls
+    it reaches that term, in slot 0.
+
+    A join multiplies a weight by ``u`` (A) or 1 (B), and one or two
+    closed circles by ``-u**-1 * (x + 1)`` or ``u**-2 * (x + 1)**2``; a
+    factor ``u**2`` moves into ``P`` as ``x``.  By join and circles, the
+    new ``P`` and parity from ``e = 0`` and from ``e = 1``::
+
+        A, 0:  P, 1                    x * P, 0
+        A, 1:  -(x + 1) * P, 0         -(x + 1) * P, 1
+        A, 2:  (x + 2 + 1/x) * P, 1    (x + 1)**2 * P, 0
+        B, 0:  P, 0                    P, 1
+        B, 1:  -(1 + 1/x) * P, 1       -(x + 1) * P, 0
+        B, 2:  (x + 2 + 1/x) * P, 0    (x + 2 + 1/x) * P, 1
+
+    Only the three products with ``1/x`` shift right, and each has its
+    lowest term ``1/x`` times that of ``P``.  The product is a branch's
+    weight, a sum of terms of partial states, so its lowest term lies
+    at ``x**-offset`` or above, ``P``'s one slot higher: every shift is
+    exact.
 
     So only the final weight must fit its slots, as balanced digits.
     Thistlethwaite's spanning-tree expansion (Topology 26, 1987) writes
@@ -495,16 +486,17 @@ def _weight_slots(c: int, all_b: int) -> tuple[int, int]:
     ``||delta * <D>||_1 < 2**(c + 1)``, inside balanced ``c + 3``-bit
     digits.
     """
-    return c + 3, all_b
+    return c + 3, (all_b + 1) // 2
 
 
-def _cap_exceeded(max_states, done, c, states, opens) -> CapExceeded:
+def _cap_exceeded(max_states, done, c, opens) -> CapExceeded:
     """The error of a sweep whose table outgrew ``max_states`` in step
-    ``done``, from 1, of an order with open-port counts ``opens``."""
+    ``done``, from 1, of an order with open-port counts ``opens``; the
+    table holds one key more, as each new key is counted."""
     return CapExceeded(
         f"open-boundary pairings exceed max_states={max_states}",
         {"crossings_done": done, "crossings_total": c,
-         "states": states, "open_ports": opens[done - 1]},
+         "states": max_states + 1, "open_ports": opens[done - 1]},
     )
 
 
@@ -516,17 +508,31 @@ def bracket_fast(
 
     A partial computation is a pairing of the open ports (ports of
     unprocessed crossings whose arcs run into the processed region) and
-    a weight packed into one integer, with room below ``u**0`` for the
-    all-B state's circles and no more (:func:`_weight_slots`); branches
-    with the same pairing merge.  The open ports depend only on the
-    step and each holds a slot (:func:`_frontier_plan`), so a state's
-    key is one integer of fields, each the slot of its port's partner
-    plus one, and the closed key is 0.  A state meets a step only
-    through the fields the step reads, so each step resolves its two
-    joins once per distinct read fields (:func:`_move`), and a branch
-    key is the state's key masked and or-ed with the join's fields.
-    A step raises :class:`CapExceeded` as soon as its table outgrows
-    ``max_states``.
+    a weight; branches with the same pairing merge.  The open ports
+    depend only on the step and each holds a slot
+    (:func:`_frontier_plan`), so a state's key is one integer of fields,
+    each the slot of its port's partner plus one, and above them one
+    bit, the parity of the weight's u-degrees.  The weight, in
+    ``x = u**2`` with room below ``x**0`` for half the all-B state's
+    circles, is packed into one integer (:func:`_weight_slots`).
+
+    The parity bit never splits a pairing.  Switching one crossing is a
+    saddle, which in the plane changes the number of circles by exactly
+    one, so ``#A + circles`` has one parity over all states.  Partial
+    states with the same pairing share every completion, which adds the
+    same A joins and closes the same circles on each, so ``#A + L`` has
+    one parity over them, ``#A`` their A joins and ``L`` their closed
+    circles, and so do the u-degrees of their terms ``u**#A * delta**L``.
+    So the keys are as many as the pairings, a step raises
+    :class:`CapExceeded` as soon as its table holds more than
+    ``max_states``, and the closed table's one key is 0 or the parity
+    bit.
+
+    A state meets a step only through the fields the step reads, so each
+    step resolves its two joins once per distinct read fields: the mask
+    of the key bits it keeps, then per join the fields it sets with its
+    parity flip, and the circles it closes.  A read port whose strand
+    returns to the crossing is mapped back to the port at its other end.
 
     At ``A = 1`` the bracket of a diagram of ``mu`` components is
     ``+-2**(mu - 1)``; a value that fails this, as one from overflowed
@@ -536,58 +542,96 @@ def bracket_fast(
     if c == 0:
         return _crossingless_value(diagram)
     order, opens = _sweep_order(diagram)
-    steps, field_bits = _frontier_plan(diagram, order, max(opens))
+    width = max(opens)
+    steps, field_bits = _frontier_plan(diagram, order, width)
     bits, offset = _weight_slots(c, circles(diagram, "B")[0])
     two = 2 * bits
-    three = 3 * bits
+    up = bits + 1
+    field = (1 << field_bits) - 1
+    # by field value t, the shift and the mask of slot t - 1
+    slot_shift = [0] + [field_bits * s for s in range(width)]
+    slot_mask = [field << shift for shift in slot_shift]
+    odd = 1 << field_bits * width
+    whole = 2 * odd - 1
     states = {0: 1 << (bits * offset)}
 
     for done, step in enumerate(steps, 1):
-        read_mask = step[0]
-        moves: dict[int, list[int]] = {}  # read fields -> move
+        read_mask, shifts, local, opened, arcs = step
+        moves: dict[int, tuple] = {}  # read fields -> move
         new_states: dict[int, int] = {}
         get = new_states.get
         for key, weight in states.items():
             far = key & read_mask
             move = moves.get(far)
             if move is None:
-                move = moves[far] = _move(far, step, field_bits)
-            keep, loops_a, vals_a, loops_b, vals_b = move
+                ends = opened.copy()  # per port, its outside end's field
+                clear = read_mask
+                strands = arcs
+                for i, shift in shifts:
+                    t = far >> shift & field
+                    j = local.get(t)
+                    if j is None:
+                        ends[i] = t
+                        clear |= slot_mask[t]
+                    else:  # j is read too and sets the other bit
+                        strands |= 1 << 4 * i + j
+                move = [whole ^ clear]
+                for loops, flip, pairs in _joins(strands):
+                    vals = odd if flip else 0
+                    for i, k in pairs:
+                        a = ends[i]
+                        b = ends[k]
+                        vals |= b << slot_shift[a] | a << slot_shift[b]
+                    move += vals, loops
+                move = moves[far] = tuple(move)
+            keep, vals_a, loops_a, vals_b, loops_b = move
+            parity = key & odd
             key &= keep
             # The A join multiplies by A = u * A^-1 and the B join by
             # A^-1; the A^-1 of every crossing is put back at the end.
-            # A closed circle multiplies by -(u + u^-1), two by
-            # u^2 + 2 + u^-2.
-            bkey = key | vals_a
-            if loops_a == 1:
-                w = -((weight << two) + weight)
-            elif loops_a:
-                w = (weight << three) + (weight << bits + 1) + (weight >> bits)
+            # The products are the table of _weight_slots.
+            bkey = key ^ vals_a
+            if not loops_a:
+                w = weight << bits if parity else weight
+            elif loops_a == 1:
+                w = -((weight << bits) + weight)
+            elif parity:
+                w = (weight << two) + (weight << up) + weight
             else:
-                w = weight << bits
+                w = (weight << bits) + (weight << 1) + (weight >> bits)
             prior = get(bkey)
-            new_states[bkey] = w if prior is None else prior + w
-            if len(new_states) > max_states:
-                raise _cap_exceeded(max_states, done, c, len(new_states), opens)
-            bkey = key | vals_b
-            if loops_b == 1:
-                w = -((weight << bits) + (weight >> bits))
-            elif loops_b:
-                w = (weight << two) + (weight << 1) + (weight >> two)
+            if prior is None:
+                new_states[bkey] = w
+                if len(new_states) > max_states:
+                    raise _cap_exceeded(max_states, done, c, opens)
             else:
+                new_states[bkey] = prior + w
+            bkey = key ^ vals_b
+            if not loops_b:
                 w = weight
+            elif loops_b == 2:
+                w = (weight << bits) + (weight << 1) + (weight >> bits)
+            elif parity:
+                w = -((weight << bits) + weight)
+            else:
+                w = -(weight + (weight >> bits))
             prior = get(bkey)
-            new_states[bkey] = w if prior is None else prior + w
-            if len(new_states) > max_states:
-                raise _cap_exceeded(max_states, done, c, len(new_states), opens)
+            if prior is None:
+                new_states[bkey] = w
+                if len(new_states) > max_states:
+                    raise _cap_exceeded(max_states, done, c, opens)
+            else:
+                new_states[bkey] = prior + w
         states = new_states
 
-    if list(states) != [0]:
+    if len(states) != 1 or not states.keys() <= {0, odd}:
         raise AssertionError("sweep left open strands")
     # Every closed circle contributed a delta, so this is delta times
-    # the normalized bracket; slot j holds A^(2j - 2 offset - c).
+    # the normalized bracket; slot j holds A^(2e + 4j - 4 offset - c).
+    (key, weight), = states.items()
     value = LaurentPoly.from_digits(
-        states[0], bits, -2 * offset - c, 2).exact_div(DELTA)
+        weight, bits, 2 * (key == odd) - 4 * offset - c, 4
+    ).exact_div(DELTA)
     at_one = sum(k for _, k in value.terms())
     if abs(at_one) != 2 ** (len(diagram.components) - 1):
         raise AssertionError("sweep value fails the check at A = 1")

@@ -197,30 +197,51 @@ def _assemble(tuples: list, signs: list[int], components: list | tuple,
 
 def _port_table(tuples: list[tuple[int, int, int, int]]) -> list[int]:
     """The flat partner table of :class:`LinkDiagram`, after checking
-    that the labels are exactly ``1..2c``, each used twice."""
+    that the labels are exactly ``1..2c``, each used twice.
+
+    One pass pairs each label's two ports through a list indexed by
+    label.  With no label out of range or used a third time, the ``4c``
+    ports fill the ``2c`` labels exactly twice each."""
     arc_count = 2 * len(tuples)
-    occurrences: dict[int, list[int]] = {}
-    for ci, slots in enumerate(tuples):
-        for si, label in enumerate(slots):
-            occurrences.setdefault(label, []).append(4 * ci + si)
-    expected = set(range(1, arc_count + 1))
-    if set(occurrences) != expected:
-        missing = sorted(expected - set(occurrences))
-        extra = sorted(set(occurrences) - expected)
-        raise InvalidDiagramError(
-            f"arc labels must be exactly 1..{arc_count}; "
-            f"missing {missing}, unexpected {extra}"
-        )
-    bad = sorted(a for a, occ in occurrences.items() if len(occ) != 2)
-    if bad:
-        raise InvalidDiagramError(
-            f"each arc label must appear exactly twice; offending labels {bad}"
-        )
-    partner = [0] * (4 * len(tuples))
-    for p, q in occurrences.values():
-        partner[p] = q
-        partner[q] = p
+    first = [-1] * (arc_count + 1)  # a label's first port, -2 once paired
+    partner = [0] * (2 * arc_count)
+    p = 0
+    for slots in tuples:
+        for label in slots:
+            q = first[label] if 0 < label <= arc_count else -2
+            if q == -1:
+                first[label] = p
+            elif q < 0:
+                raise _label_error(tuples)
+            else:
+                partner[p] = q
+                partner[q] = p
+                first[label] = -2
+            p += 1
     return partner
+
+
+def _label_error(tuples: list) -> InvalidDiagramError:
+    """Why the labels are not exactly ``1..2c``, each used twice."""
+    arc_count = 2 * len(tuples)
+    uses = dict.fromkeys(range(1, arc_count + 1), 0)
+    extra = set()
+    for slots in tuples:
+        for label in slots:
+            if label in uses:
+                uses[label] += 1
+            else:
+                extra.add(label)
+    missing = [a for a, n in uses.items() if not n]
+    if missing or extra:
+        return InvalidDiagramError(
+            f"arc labels must be exactly 1..{arc_count}; "
+            f"missing {missing}, unexpected {sorted(extra)}"
+        )
+    bad = [a for a, n in uses.items() if n != 2]
+    return InvalidDiagramError(
+        f"each arc label must appear exactly twice; offending labels {bad}"
+    )
 
 
 def _check_connected(partner: list[int]) -> None:

@@ -168,10 +168,26 @@ class TestResourceCaps:
             "open_ports": open_ports,
         }
 
-    def test_fast_cap_at_the_peak(self, corpus_diagrams):
-        # 858 live pairings is the peak of the width-4 trefoil cable
-        d = cable(corpus_diagrams["trefoil-left"], 4)
-        assert bracket_fast(d, max_states=858) == bracket_fast(d)
+    @pytest.mark.parametrize(
+        "name,width,peak",
+        [
+            ("trefoil-left", 2, 10),
+            ("trefoil-left", 3, 84),
+            ("trefoil-left", 4, 858),
+            ("figure-eight", 2, 14),
+            ("figure-eight", 3, 132),
+            ("figure-eight", 4, 1430),
+        ],
+    )
+    def test_fast_cap_at_the_peak(self, corpus_diagrams, name, width, peak):
+        # the peak is the largest number of live pairings in one step,
+        # so a cap of the peak passes and one less trips holding the
+        # peak; the parity key bit must not split a pairing's states
+        d = cable(corpus_diagrams[name], width)
+        assert bracket_fast(d, max_states=peak) == bracket_fast(d)
+        with pytest.raises(CapExceeded) as info:
+            bracket_fast(d, max_states=peak - 1)
+        assert info.value.detail["states"] == peak
 
     def test_cap_detail_payload(self, corpus_diagrams):
         with pytest.raises(CapExceeded) as info:
@@ -361,25 +377,28 @@ class TestSweepBeyondOracle:
     def test_packed_weights_round_trip_at_the_bound(self, c):
         # the final weight, delta times the bracket, has coefficients
         # of absolute value below 2^(c+1) and u-exponents in
-        # -v_B..2c+1, with 1 <= v_B <= c + 1; only it is ever
+        # -v_B..2c+1 of one parity e, with 1 <= v_B <= c + 1; it is
+        # u^e times a polynomial in x = u^2, and only it is ever
         # unpacked, read as the sweep does
         bound = 2 ** (c + 1) - 1
-        for all_b in sorted({1, c // 2 + 1, c + 1}):
+        for all_b in sorted({1, 2, c // 2 + 1, c + 1}):
             bits, offset = _weight_slots(c, all_b)
-            assert offset == all_b
-            exps = range(-all_b, 2 * c + 2)
-            for coeffs in (
-                [bound] * len(exps),
-                [-bound] * len(exps),
-                [(-1) ** j * bound for j in range(len(exps))],
-                [(-1) ** j * (bound - j) for j in range(len(exps))],
-            ):
-                packed = sum(
-                    k << (bits * (e + offset)) for e, k in zip(exps, coeffs)
-                )
-                assert LaurentPoly.from_digits(
-                    packed, bits, -2 * offset, 2
-                ) == LaurentPoly({2 * e: k for e, k in zip(exps, coeffs)})
+            assert offset == (all_b + 1) // 2
+            for e in (0, 1):
+                exps = range(-all_b + (all_b + e) % 2, 2 * c + 2, 2)
+                for coeffs in (
+                    [bound] * len(exps),
+                    [-bound] * len(exps),
+                    [(-1) ** j * bound for j in range(len(exps))],
+                    [(-1) ** j * (bound - j) for j in range(len(exps))],
+                ):
+                    packed = sum(
+                        k << (bits * ((d - e) // 2 + offset))
+                        for d, k in zip(exps, coeffs)
+                    )
+                    assert LaurentPoly.from_digits(
+                        packed, bits, 2 * e - 4 * offset, 4
+                    ) == LaurentPoly({2 * d: k for d, k in zip(exps, coeffs)})
 
 
 def _norm(p):
