@@ -327,11 +327,8 @@ def _sweep_order(diagram: LinkDiagram) -> tuple[list[int], list[int]]:
     by scoring less.
     """
     c = diagram.crossing_count
-    partner = diagram.partner
-    ends = [
-        [partner[p] >> 2 for p in range(4 * ci, 4 * ci + 4)]
-        for ci in range(c)
-    ]
+    far = [q >> 2 for q in diagram.partner]
+    ends = [far[p:p + 4] for p in range(0, 4 * c, 4)]
     best, opens, bound = _greedy_order(ends, 0, float("inf"))
     starts = min(_STARTS, c)
     if sum(comb(o, o // 2) // (o // 2 + 1) for o in opens) <= starts * c:
@@ -369,28 +366,29 @@ def _frontier_plan(diagram: LinkDiagram, order: list[int], width: int):
     partner = diagram.partner
     bits = width.bit_length()  # a field holds 0..width
     field = (1 << bits) - 1
+    shift_of = [bits * s for s in range(width)]  # by slot
     slot_of = [-1] * len(partner)
     free = list(range(width - 1, -1, -1))
     steps = []
     for ci in order:
+        read_mask = arcs = 0
+        shifts, local, opened, fresh = [], {}, [0] * 4, []
         base = 4 * ci
-        reads = [(i, slot_of[base + i]) for i in range(4)
-                 if slot_of[base + i] >= 0]
-        free.extend(s for _, s in reads)
-        read_mask = sum(field << (bits * s) for _, s in reads)
-        opened = [0] * 4
-        arcs = 0
-        for i in range(4):
-            q = partner[base + i]
-            if slot_of[base + i] >= 0:
-                continue
-            if q >> 2 == ci:
-                arcs |= 1 << 4 * i + (q & 3)
-                continue
+        for i, four_i in (0, 0), (1, 4), (2, 8), (3, 12):
+            s = slot_of[base + i]
+            if s >= 0:
+                free.append(s)
+                shift = shift_of[s]
+                read_mask |= field << shift
+                shifts.append((i, shift))
+                local[s + 1] = i
+            elif (q := partner[base + i]) >> 2 == ci:
+                arcs |= 1 << four_i + (q & 3)
+            else:
+                fresh.append((i, q))
+        for i, q in fresh:  # opened once every read slot is free
             s = slot_of[q] = free.pop()
             opened[i] = s + 1
-        shifts = [(i, bits * s) for i, s in reads]
-        local = {s + 1: i for i, s in reads}
         steps.append((read_mask, shifts, local, opened, arcs))
     return steps, bits
 
@@ -575,16 +573,20 @@ def bracket_fast(
                         clear |= slot_mask[t]
                     else:  # j is read too and sets the other bit
                         strands |= 1 << 4 * i + j
-                move = [whole ^ clear]
-                for loops, flip, pairs in _joins(strands):
-                    vals = odd if flip else 0
-                    for i, k in pairs:
-                        a = ends[i]
-                        b = ends[k]
-                        vals |= b << slot_shift[a] | a << slot_shift[b]
-                    move += vals, loops
-                move = moves[far] = tuple(move)
-            keep, vals_a, loops_a, vals_b, loops_b = move
+                (loops_a, flip, pairs), join_b = _joins(strands)
+                vals_a = odd if flip else 0
+                for i, k in pairs:
+                    a, b = ends[i], ends[k]
+                    vals_a |= b << slot_shift[a] | a << slot_shift[b]
+                loops_b, flip, pairs = join_b
+                vals_b = odd if flip else 0
+                for i, k in pairs:
+                    a, b = ends[i], ends[k]
+                    vals_b |= b << slot_shift[a] | a << slot_shift[b]
+                keep = whole ^ clear
+                moves[far] = keep, vals_a, loops_a, vals_b, loops_b
+            else:
+                keep, vals_a, loops_a, vals_b, loops_b = move
             parity = key & odd
             key &= keep
             # The A join multiplies by A = u * A^-1 and the B join by

@@ -8,9 +8,9 @@ numbered consecutively along the orientation of each component.
 
 The sign convention follows from the slot geometry: a crossing is
 positive exactly when the overstrand enters at slot 3 and leaves at
-slot 1.  Validation traces each component once to recover its
-orientation, which also works for short components where "label plus
-one" alone is ambiguous, and reads every sign off that one trace.
+slot 1.  Validation traces each component once from its smallest label,
+orients it by whether its labels read forward or backward along it, the
+slot convention settling short components, and reads every sign off it.
 Only parsed input is validated: mirrors, cables and simplifications
 take their components and signs in closed form from the diagram they
 derive from, and the tests hold each to a validation of its own slot
@@ -28,6 +28,7 @@ virtual (positive genus) input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, TypeVar
 
 T = TypeVar("T")
@@ -135,12 +136,13 @@ class LinkDiagram:
 def parse_pd(text: str) -> LinkDiagram:
     """Parse PD text such as ``X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]``.
 
-    Empty input yields the empty diagram, ``crossingless(0)``.  A bare ``O`` token stands
-    for one crossingless loop, so ``"O"`` is the 0-crossing unknot and
-    ``"O O"`` a crossingless 2-unlink; loops cannot be mixed with
-    crossings since the result would be disconnected.  Raises
-    :class:`PDSyntaxError` for malformed tokens and
-    :class:`InvalidDiagramError` for codes that fail validation.
+    Labels are ASCII decimal numerals.  Empty input is the empty diagram,
+    ``crossingless(0)``.  A bare ``O`` token stands for one crossingless
+    loop, so ``"O"`` is the 0-crossing unknot and ``"O O"`` a
+    crossingless 2-unlink; loops cannot be mixed with crossings since the
+    result would be disconnected.  Raises :class:`PDSyntaxError` for
+    malformed tokens and :class:`InvalidDiagramError` for codes that fail
+    validation.
     """
     tuples: list[tuple[int, int, int, int]] = []
     loops = 0
@@ -155,10 +157,13 @@ def parse_pd(text: str) -> LinkDiagram:
         if len(parts) != 4:
             raise PDSyntaxError(f"crossing needs four arc labels: {token!r}")
         try:
-            labels = tuple(int(p) for p in parts)
+            # int() would also take "+3", "0_3" and non-ASCII digits
+            if not body.isascii() or "+" in body or "_" in body:
+                raise ValueError(body)
+            labels = tuple(map(int, parts))
         except ValueError as err:
             raise PDSyntaxError(f"non-integer arc label in {token!r}") from err
-        if any(a < 1 for a in labels):
+        if min(labels) < 1:
             raise PDSyntaxError(f"arc labels must be positive: {token!r}")
         tuples.append(labels)  # type: ignore[arg-type]
     return from_slot_tuples(tuples, free_loops=loops)
@@ -245,23 +250,20 @@ def _label_error(tuples: list) -> InvalidDiagramError:
 
 
 def _check_connected(partner: list[int]) -> None:
-    n = len(partner) // 4
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for p, q in enumerate(partner):
-        a, b = find(p >> 2), find(q >> 2)
-        if a != b:
-            parent[a] = b
-    roots = {find(i) for i in range(n)}
-    if len(roots) > 1:
+    unseen = set(range(len(partner) // 4))
+    pieces = 0
+    while unseen:  # walk one more piece
+        pieces += 1
+        stack = [unseen.pop()]
+        while stack:
+            ci = stack.pop()
+            for q in partner[4 * ci:4 * ci + 4]:
+                if q >> 2 in unseen:
+                    unseen.remove(q >> 2)
+                    stack.append(q >> 2)
+    if pieces > 1:
         raise InvalidDiagramError(
-            f"diagram is disconnected ({len(roots)} pieces); "
+            f"diagram is disconnected ({pieces} pieces); "
             "only connected diagrams are supported"
         )
 
@@ -281,10 +283,7 @@ def _trace_components(
     the chosen orientation enters its over passage at slot 3, -1 at
     slot 1.
     """
-    # each label's first port: the trace of a component starts there
-    first_port = [0] * (len(partner) // 2 + 1)
-    for p in reversed(range(len(partner))):
-        first_port[tuples[p >> 2][p & 3]] = p
+    label = list(chain.from_iterable(tuples))  # by port
     components: list[tuple[int, ...]] = []
     signs = [0] * len(tuples)
 
@@ -292,30 +291,29 @@ def _trace_components(
     # ``start`` is the smallest label of its own, which is the block
     # ``start .. start + size - 1`` once checked.
     start = 1
-    while start < len(first_port):
-        # the port where each arc of the trace enters a passage
-        ports = [first_port[start]]
+    while start <= len(tuples) * 2:
+        # the port where each arc of the trace enters a passage, from
+        # the first port of label ``start``
+        ports = [label.index(start)]
         while (port := partner[_passage_exit(ports[-1])]) != ports[0]:
             ports.append(port)
-        arcs = [tuples[p >> 2][p & 3] for p in ports]
+        arcs = [label[p] for p in ports]
         size = len(arcs)
-        labels = sorted(arcs)
-        if labels != list(range(start, start + size)):
-            raise InvalidDiagramError(
-                f"component arcs {labels} do not form a consecutive block"
-            )
-        # Each reading lists the port where arc i of the trace enters a
-        # passage.  Reversed, arc i really enters where the trace left
-        # arc i - 1, at the opposite slot of that passage.
-        readings = [
-            r for step, r in (
-                (1, ports),
-                (-1, [_passage_exit(ports[i - 1]) for i in range(size)]),
-            )
-            if all((arcs[(i + 1) % size] - arcs[i] - step) % size == 0
-                   for i in range(size))
-        ]
+        # The trace starts at ``start``, so its labels number the block
+        # forward or backward only as ``start, start + 1, ..`` or
+        # ``start, start + size - 1, ..``.  A reading lists the port where
+        # arc i of the trace enters a passage; reversed, that is where
+        # the trace left arc i - 1, at the other slot of the passage.
+        block = list(range(start, start + size))
+        readings = [ports] if arcs == block else []
+        if arcs[1:] == block[:0:-1]:
+            readings.append([p ^ 2 for p in ports[-1:] + ports[:-1]])
         if not readings:
+            labels = sorted(arcs)
+            if labels != block:
+                raise InvalidDiagramError(
+                    f"component arcs {labels} do not form a consecutive block"
+                )
             raise InvalidDiagramError(
                 f"arc numbering is not consecutive along a component: {arcs}"
             )
@@ -327,7 +325,7 @@ def _trace_components(
         ]
         if not valid:
             raise InvalidDiagramError(
-                f"component {labels}: an understrand would enter at slot 2, "
+                f"component {block}: an understrand would enter at slot 2, "
                 "which contradicts the slot convention"
             )
         # Both orientations are consistent only for a short component
@@ -336,7 +334,7 @@ def _trace_components(
         for p in min(valid, key=lambda r: r[0]):
             if p & 1:
                 signs[p >> 2] = 1 if p & 3 == 3 else -1
-        components.append(tuple(range(start, start + size)))
+        components.append(tuple(block))
         start += size
     return tuple(components), signs
 

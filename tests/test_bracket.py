@@ -361,6 +361,40 @@ class TestSweepBeyondOracle:
             opened = {v for step in steps for v in step[3] if v}
             assert opened == set(range(1, width + 1)), d
 
+    def test_plan_matches_the_order(self, corpus_diagrams):
+        # each step recomputed from the order alone: a port is read if
+        # its partner's crossing came earlier, opened if it comes later,
+        # and an arc back to the crossing otherwise; a port is read
+        # from the slot its partner opened, and live slots never clash.
+        # Slots go as documented: the last freed first, fresh ones
+        # lowest first
+        for d in _corpus_cables(corpus_diagrams) + seeded_closures(11, 40):
+            order, opens = _sweep_order(d)
+            steps, bits = _frontier_plan(d, order, max(opens))
+            when = {ci: k for k, ci in enumerate(order)}
+            slot_of = {}  # open port -> its slot
+            free = list(range(max(opens) - 1, -1, -1))
+            for k, (ci, step) in enumerate(zip(order, steps)):
+                read_mask, shifts, local, opened, arcs = step
+                ports = [(i, d.partner[4 * ci + i]) for i in range(4)]
+                reads = [(i, bits * slot_of.pop(4 * ci + i))
+                         for i, q in ports if when[q >> 2] < k]
+                assert shifts == reads, d
+                assert local == {s // bits + 1: i for i, s in reads}, d
+                assert read_mask == sum(
+                    ((1 << bits) - 1) << s for _, s in reads), d
+                assert [i for i in range(4) if opened[i]] == [
+                    i for i, q in ports if when[q >> 2] > k], d
+                assert arcs == sum(
+                    1 << 4 * i + (q & 3) for i, q in ports if q >> 2 == ci), d
+                free += [s // bits for _, s in reads]
+                for i, q in ports:
+                    if opened[i]:
+                        slot_of[q] = opened[i] - 1
+                        assert slot_of[q] == free.pop(), d
+                assert len(set(slot_of.values())) == len(slot_of), d
+            assert not slot_of, d
+
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_kink_chains(self, n, sign):

@@ -110,6 +110,11 @@ class TestExitCodes:
         assert rc == 2
         assert "error: crossing needs four arc labels" in err
 
+    def test_signed_label_is_two(self, capsys):
+        rc, out, err = run(capsys, "bracket", LH_TREFOIL.replace("3]", "+3]"))
+        assert (rc, out) == (2, "")
+        assert "error: non-integer arc label in 'X[5,2,6,+3]'" in err
+
     def test_invalid_diagram_is_two(self, capsys):
         rc, _, err = run(capsys, "bracket", "X[1,2,1,2]")
         assert rc == 2

@@ -103,6 +103,13 @@ class TestParseErrors:
             ("X[1,2]", PDSyntaxError, "crossing needs four arc labels"),
             ("X[1,2,3,a]", PDSyntaxError, "non-integer arc label"),
             ("X[0,0,1,1]", PDSyntaxError, "arc labels must be positive"),
+            # int() alone reads each of these as 3: a sign, an
+            # underscore, an Arabic-Indic and a fullwidth digit
+            ("X[1,1,2,+3]", PDSyntaxError, "non-integer arc label"),
+            ("X[1,1,2,0_3]", PDSyntaxError, "non-integer arc label"),
+            ("X[1,1,2,\u0663]", PDSyntaxError, "non-integer arc label"),
+            ("X[1,1,2,\uff13]", PDSyntaxError, "non-integer arc label"),
+            ("X[1,1,2,-3]", PDSyntaxError, "arc labels must be positive"),
             ("Y[1,1,2,2]", PDSyntaxError, "malformed crossing token"),
             # one crossing carries 2 arcs, so label 3 is out of range
             ("X[1,1,2,3]", InvalidDiagramError, "unexpected"),
@@ -141,6 +148,11 @@ class TestParseErrors:
     def test_rejects(self, code, exc, message):
         with pytest.raises(exc, match=re.escape(message)):
             parse_pd(code)
+
+    def test_leading_zeros_are_digits(self):
+        assert parse_pd("X[01,4,2,5] X[3,6,4,1] X[5,2,6,003]") == parse_pd(
+            "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+        )
 
     def test_virtual_trefoil_variant_rejected(self):
         # same arc multiset as the left trefoil, but the slot layout
@@ -199,6 +211,37 @@ class TestParseOutcomesPinned:
         ]
         record = "\n".join(f"{c}\t{_parse_outcome(c)}" for c in codes)
         assert hashlib.sha256(record.encode()).hexdigest() == self.DIGEST
+
+    # seeded 4-14-crossing closures: 18 knots and 42 links of up to 4
+    # components, their mirrors, their width-2 cables (up to 56
+    # crossings) and, per closure, one code with a crossing rotated
+    # and one with two labels swapped; 208 of the 300 codes parse
+    CLOSURES_DIGEST = (
+        "dfe3d7d99843e3c632ba6a5c99246048d1389532c7f972339d7b730bb352df17"
+    )
+
+    def test_closure_outcomes_are_pinned(self):
+        closures = seeded_closures(2025, 60, range(4, 15))
+        codes = [
+            serialize(x) for d in closures for x in (d, mirror(d), cable(d, 2))
+        ]
+        rng = Random(2025)
+        for d in closures:
+            tuples = [x.slots for x in d.crossings]
+            i = rng.randrange(len(tuples))
+            rotated = list(tuples)
+            rotated[i] = tuples[i][1:] + tuples[i][:1]
+            a, b = rng.sample(range(1, d.arc_count + 1), 2)
+            swap = {a: b, b: a}
+            swapped = [[swap.get(x, x) for x in t] for t in tuples]
+            codes += [
+                " ".join("X[{},{},{},{}]".format(*t) for t in ts)
+                for ts in (rotated, swapped)
+            ]
+        record = "\n".join(f"{c}\t{_parse_outcome(c)}" for c in codes)
+        assert hashlib.sha256(record.encode()).hexdigest() == (
+            self.CLOSURES_DIGEST
+        )
 
 
 class TestMirror:
