@@ -39,9 +39,11 @@ Engines:
   (Topology 26, 1987) bounds, not by the partial sums: packing is a ring
   homomorphism, so intermediate digits may overflow.  Below ``x**0`` it
   keeps one slot per two circles of the all-B state, the paper's bound
-  on the lowest degree (:func:`_weight_slots`).  A value that fails the
-  check at ``A = 1`` is never returned.  The number of live states stays small
-  for cabled diagrams, which is where the exponential engines give out.
+  on the lowest degree (:func:`_weight_slots`).  A merge whose weights
+  cancel deletes its key, so the cancelled terms of reducible parts of
+  a diagram are not carried.  A value that fails the check at ``A = 1``
+  is never returned.  The number of live states stays small for cabled
+  diagrams, which is where the exponential engines give out.
   Its cost is set by the crossing order (:func:`_sweep_order`): a greedy
   one that keeps the open boundary small, and where the sweep promises
   to be expensive, the best by score of greedy orders from several start
@@ -521,10 +523,17 @@ def bracket_fast(
     same A joins and closes the same circles on each, so ``#A + L`` has
     one parity over them, ``#A`` their A joins and ``L`` their closed
     circles, and so do the u-degrees of their terms ``u**#A * delta**L``.
-    So the keys are as many as the pairings, a step raises
-    :class:`CapExceeded` as soon as its table holds more than
-    ``max_states``, and the closed table's one key is 0 or the parity
-    bit.
+    So the keys are at most as many as the pairings: a merge whose
+    weights sum to 0 deletes its key.  That is exact on the packed
+    integers, overflowed digits and all, because every later operation
+    on a weight (whole-slot shifts, the exact right shifts of
+    :func:`_weight_slots`, sums and negation) is linear, so a zero
+    weight adds 0 to the final integer.  Only merges make a 0: with
+    ``X`` the slot base, a transition multiplies by 1, ``X``,
+    ``-(X + 1)`` or ``(X + 1)**2``, or divides such a product exactly
+    by ``X``.  A step raises :class:`CapExceeded` as soon as its table
+    holds more than ``max_states``, never earlier than with every key
+    kept, and the closed table's one key is 0 or the parity bit.
 
     A state meets a step only through the fields the step reads, so each
     step resolves its two joins once per distinct read fields: the mask
@@ -606,8 +615,10 @@ def bracket_fast(
                 new_states[bkey] = w
                 if len(new_states) > max_states:
                     raise _cap_exceeded(max_states, done, c, opens)
-            else:
-                new_states[bkey] = prior + w
+            elif w := prior + w:
+                new_states[bkey] = w
+            else:  # the branches cancel: the key is dead
+                del new_states[bkey]
             bkey = key ^ vals_b
             if not loops_b:
                 w = weight
@@ -622,8 +633,10 @@ def bracket_fast(
                 new_states[bkey] = w
                 if len(new_states) > max_states:
                     raise _cap_exceeded(max_states, done, c, opens)
-            else:
-                new_states[bkey] = prior + w
+            elif w := prior + w:
+                new_states[bkey] = w
+            else:  # the branches cancel: the key is dead
+                del new_states[bkey]
         states = new_states
 
     if len(states) != 1 or not states.keys() <= {0, odd}:

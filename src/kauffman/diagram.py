@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 T = TypeVar("T")
 
@@ -60,8 +60,7 @@ class InvalidDiagramError(DiagramError):
     """Raised when a well-formed PD code violates a diagram invariant."""
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing: slot labels counterclockwise from the incoming
     understrand, plus the derived orientation sign."""
 
@@ -192,9 +191,7 @@ def _assemble(tuples: list, signs: list[int], components: list | tuple,
     """The diagram with these slot tuples, signs, components and port
     table, taken as given: every caller has validated or derived them."""
     return LinkDiagram(
-        crossings=tuple(
-            Crossing(slots=tuple(t), sign=s) for t, s in zip(tuples, signs)
-        ),
+        crossings=tuple(map(Crossing, map(tuple, tuples), signs)),
         components=tuple(components),
         partner=tuple(partner),
     )

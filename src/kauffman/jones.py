@@ -59,25 +59,28 @@ def chebyshev(n: int) -> dict[int, int]:
     }
 
 
-def _counted_sum(diagram: LinkDiagram, n: int, cap: int | None) -> LaurentPoly:
-    """Chebyshev combination of cable brackets, counted convention.
+def _counted_sum(diagram: LinkDiagram, n: int, cap: int | None,
+                 sign: int = 1, shift: int = 0) -> LaurentPoly:
+    """Chebyshev combination of cable brackets, counted convention,
+    times ``sign * A**shift``, summed term by term into one dict.
 
     ``S_n`` with each power ``x**m`` (``m >= 1``) replaced by the
-    bracket of the width-``m`` cable and the constant term kept.  No
-    writhe correction is applied; this is the raw state sum whose top
-    degree the adequacy bounds speak about.  Only the widths that
-    ``S_n`` has (those of ``n``'s parity) are cabled and bracketed,
-    each under the resource ``cap`` of :func:`kauffman.bracket.bracket`.
+    bracket of the width-``m`` cable and the constant term kept.  By
+    default no writhe correction is applied; this is the raw state sum
+    whose top degree the adequacy bounds speak about.  Only the widths
+    that ``S_n`` has (those of ``n``'s parity) are cabled and
+    bracketed, each under the resource ``cap`` of
+    :func:`kauffman.bracket.bracket`.
     """
     if n < 0:
         raise ValueError("cable width must be nonnegative")
-    expansion = chebyshev(n)
-    acc = LaurentPoly.const(expansion.get(0, 0))
-    for m, c in expansion.items():
-        if m:
-            value = bracket(cable(diagram, m), cap=cap)
-            acc = acc + LaurentPoly.const(c) * value
-    return acc
+    terms: dict[int, int] = {}
+    for m, c in chebyshev(n).items():
+        c *= sign
+        value = bracket(cable(diagram, m), cap=cap).terms() if m else [(0, 1)]
+        for e, k in value:
+            terms[e + shift] = terms.get(e + shift, 0) + c * k
+    return LaurentPoly(terms)
 
 
 def _correction(diagram: LinkDiagram, n: int) -> tuple[int, int]:
@@ -96,9 +99,7 @@ def unreduced(
     state graph is loop-free.  Not invariant under kinks; use
     :func:`reduced` for an invariant.
     """
-    raw = _counted_sum(diagram, n, cap)
-    sign, shift = _correction(diagram, n)
-    return LaurentPoly.const(sign) * raw.shift(shift)
+    return _counted_sum(diagram, n, cap, *_correction(diagram, n))
 
 
 def unknot_reference(n: int) -> LaurentPoly:

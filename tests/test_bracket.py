@@ -26,7 +26,9 @@ from kauffman.bracket import (
     _sweep_order,
     _weight_slots,
 )
-from kauffman.diagram import LinkDiagram, cable, from_slot_tuples, mirror
+from kauffman.diagram import (
+    LinkDiagram, cable, from_slot_tuples, mirror, parse_pd,
+)
 from kauffman.laurent import InexactDivisionError, LaurentPoly
 from kauffman.states import RibbonGraph, resolve
 
@@ -185,6 +187,34 @@ class TestResourceCaps:
         # peak; the parity key bit must not split a pairing's states
         d = cable(corpus_diagrams[name], width)
         assert bracket_fast(d, max_states=peak) == bracket_fast(d)
+        with pytest.raises(CapExceeded) as info:
+            bracket_fast(d, max_states=peak - 1)
+        assert info.value.detail["states"] == peak
+
+    @pytest.mark.parametrize(
+        "pd,peak",
+        [
+            ("X[3,8,4,9] X[11,6,12,5] X[1,9,2,10] X[2,3,1,10] X[6,11,7,12] "
+             "X[7,5,8,4]", 2),
+            ("X[11,6,12,5] X[6,13,7,12] X[7,13,8,14] X[1,14,2,15] "
+             "X[8,3,9,2] X[3,10,4,9] X[15,4,16,1] X[16,10,11,5]", 2),
+            ("X[1,8,2,9] X[13,3,14,2] X[14,3,15,4] X[9,4,10,5] X[10,6,11,5] "
+             "X[6,15,7,16] X[16,12,1,11] X[7,13,8,12]", 4),
+            ("X[14,8,15,7] X[4,15,5,16] X[8,9,9,10] X[1,16,2,1] X[10,6,11,5] "
+             "X[2,11,3,12] X[12,3,13,4] X[13,6,14,7]", 4),
+            ("X[17,11,18,12] X[7,12,8,13] X[8,18,9,19] X[15,2,16,1] "
+             "X[13,3,14,2] X[19,4,20,3] X[4,9,5,10] X[16,14,15,1] "
+             "X[5,11,6,10] X[6,17,7,20]", 5),
+        ],
+    )
+    def test_fast_cap_drops_cancelled_states(self, pd, peak):
+        # seeded braid closures with R1/R2-reducible parts, whose
+        # branches sum to weight 0 in some keys; a dead key is deleted,
+        # so the sweep passes under a cap below its largest step's
+        # pairings, which a sweep that kept every merged key would hold
+        # (4, 4, 5, 6 and 6 here)
+        d = parse_pd(pd)
+        assert bracket_fast(d, max_states=peak) == bracket_statesum(d)
         with pytest.raises(CapExceeded) as info:
             bracket_fast(d, max_states=peak - 1)
         assert info.value.detail["states"] == peak

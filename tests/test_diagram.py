@@ -81,6 +81,21 @@ class TestParse:
         assert d.free_loops == loops
         assert tuple(c.sign for c in d.crossings) == signs
 
+    def test_repr_equality_and_hash(self, corpus_diagrams):
+        # a crossing is a named (slots, sign) pair: a diagram's repr,
+        # equality and hash read only its crossings, components and
+        # free loops, and hash as the plain tuple of those would
+        d = corpus_diagrams["hopf-positive"]
+        assert repr(d) == (
+            "LinkDiagram(crossings=(Crossing(slots=(1, 3, 2, 4), sign=1), "
+            "Crossing(slots=(3, 1, 4, 2), sign=1)), "
+            "components=((1, 2), (3, 4)), free_loops=0)"
+        )
+        plain = ((((1, 3, 2, 4), 1), ((3, 1, 4, 2), 1)), ((1, 2), (3, 4)), 0)
+        assert hash(d) == hash(plain)
+        assert d == parse_pd(serialize(d)) and d != mirror(d)
+        assert [x.over_in_slot for x in mirror(d).crossings] == [1, 1]
+
     def test_corpus_round_trips(self):
         for entry in bundled():
             assert serialize(parse_pd(entry.pd)) == entry.pd
