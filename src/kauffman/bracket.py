@@ -32,18 +32,21 @@ Engines:
   homology computations" (JKTR 2007).  A state is keyed by its open
   boundary, one integer of fields that name each open port's partner,
   and one bit for the parity of its weight's degrees in ``u = A**2``,
-  which the pairing fixes; a branch's key is two integer operations on
-  its parent's.  So a weight is ``u**parity`` times a polynomial in
-  ``x = u**2``, packed into one integer, in slots sized by the final
-  bracket, whose coefficients Thistlethwaite's spanning-tree expansion
-  (Topology 26, 1987) bounds, not by the partial sums: packing is a ring
-  homomorphism, so intermediate digits may overflow.  Below ``x**0`` it
-  keeps one slot per two circles of the all-B state, the paper's bound
-  on the lowest degree (:func:`_weight_slots`).  A merge whose weights
-  cancel deletes its key, so the cancelled terms of reducible parts of
-  a diagram are not carried.  A value that fails the check at ``A = 1``
-  is never returned.  The number of live states stays small for cabled
-  diagrams, which is where the exponential engines give out.
+  which the pairing fixes; a branch's key is its parent's XOR one
+  integer, built once per step and distinct read fields.  So a weight
+  is ``u**parity`` times a polynomial in ``x = u**2``, packed into one
+  integer, in slots sized by the final bracket, whose coefficients
+  Thistlethwaite's spanning-tree expansion (Topology 26, 1987) bounds,
+  not by the partial sums: packing is a ring homomorphism, so
+  intermediate digits may overflow.  Below ``x**0`` it keeps one slot
+  per two circles of the all-B state, the paper's bound on the lowest
+  degree (:func:`_weight_slots`).  A merge whose weights cancel deletes
+  its key, so the cancelled terms of reducible parts of a diagram are
+  not carried.  One exact integer division by ``x + 1`` turns the last
+  weight, ``delta`` times the bracket, into the bracket's digits.  A
+  value that fails the check at ``A = 1`` is never returned.  The
+  number of live states stays small for cabled diagrams, which is where
+  the exponential engines give out.
   Its cost is set by the crossing order (:func:`_sweep_order`): a greedy
   one that keeps the open boundary small, and where the sweep promises
   to be expensive, the best by score of greedy orders from several start
@@ -58,7 +61,7 @@ from heapq import heappop, heappush
 from math import comb
 
 from kauffman.diagram import LinkDiagram
-from kauffman.laurent import LaurentPoly
+from kauffman.laurent import InexactDivisionError, LaurentPoly
 from kauffman.states import circles, resolve
 
 __all__ = [
@@ -270,6 +273,10 @@ def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
 # Start crossings an order search tries.
 _STARTS = 16
 
+# Catalan(o / 2) by open-port count o; one step past the table costs
+# more than a search of any diagram under 10**14 crossings.
+_CATALAN = [comb(o, o // 2) // (o // 2 + 1) for o in range(64)]
+
 
 def _greedy_order(ends, start, bound):
     """From ``start``, repeatedly take the crossing with the most arcs
@@ -329,11 +336,11 @@ def _sweep_order(diagram: LinkDiagram) -> tuple[list[int], list[int]]:
     by scoring less.
     """
     c = diagram.crossing_count
-    far = [q >> 2 for q in diagram.partner]
-    ends = [far[p:p + 4] for p in range(0, 4 * c, 4)]
+    far = iter([q >> 2 for q in diagram.partner])
+    ends = list(zip(far, far, far, far))
     best, opens, bound = _greedy_order(ends, 0, float("inf"))
     starts = min(_STARTS, c)
-    if sum(comb(o, o // 2) // (o // 2 + 1) for o in opens) <= starts * c:
+    if max(opens) < 64 and sum(map(_CATALAN.__getitem__, opens)) <= starts * c:
         return best, opens
     rank = sorted(range(c), key=lambda ci: sorted(diagram.crossings[ci].slots))
     pos = [0] * c
@@ -360,43 +367,40 @@ def _frontier_plan(diagram: LinkDiagram, order: list[int], width: int):
     The field of slot ``s`` in a key holds the slot of the open port's
     partner plus one, and 0 while no port holds ``s``.  Per step, with
     the crossing's ports named 0..3: the mask of the fields it reads;
-    each read port's name and its field's shift; the read ports by field
-    value (their slot plus one); per port the field value of the opened
-    port at the other end of its arc, 0 if none; and the bits ``4i + j``
-    and ``4j + i`` of each arc from port ``i`` back to port ``j``.
+    per read port its name, its field's shift and its slot plus one;
+    the read ports by slot plus one; per port the slot plus one of the
+    opened port at the other end of its arc, 0 if none; and the bits
+    ``4i + j`` and ``4j + i`` of each arc from port ``i`` back to port
+    ``j``.
     """
     partner = diagram.partner
     bits = width.bit_length()  # a field holds 0..width
     field = (1 << bits) - 1
-    shift_of = [bits * s for s in range(width)]  # by slot
-    slot_of = [-1] * len(partner)
-    free = list(range(width - 1, -1, -1))
+    held = [0] * len(partner)  # per port, its slot plus one once open
+    free = list(range(width, 0, -1))  # free slots plus one
     steps = []
     for ci in order:
-        read_mask = arcs = 0
-        shifts, local, opened, fresh = [], {}, [0] * 4, []
         base = 4 * ci
-        for i, four_i in (0, 0), (1, 4), (2, 8), (3, 12):
-            s = slot_of[base + i]
-            if s >= 0:
-                free.append(s)
-                shift = shift_of[s]
+        own = held[base:base + 4]
+        read_mask = arcs = 0
+        reads = ()
+        local = {}
+        ends = [0, 0, 0, 0]
+        for i in 0, 1, 2, 3:
+            if t := own[i]:
+                free.append(t)
+                shift = bits * t - bits
                 read_mask |= field << shift
-                shifts.append((i, shift))
-                local[s + 1] = i
-            elif (q := partner[base + i]) >> 2 == ci:
-                arcs |= 1 << four_i + (q & 3)
-            else:
-                fresh.append((i, q))
-        for i, q in fresh:  # opened once every read slot is free
-            s = slot_of[q] = free.pop()
-            opened[i] = s + 1
-        steps.append((read_mask, shifts, local, opened, arcs))
+                reads += (i, shift, t),
+                local[t] = i
+        for i in 0, 1, 2, 3:  # opened once every read slot is free
+            if not own[i]:
+                if (q := partner[base + i]) >> 2 == ci:
+                    arcs |= 1 << 4 * i + (q & 3)
+                else:
+                    ends[i] = held[q] = free.pop()
+        steps.append((read_mask, reads, local, ends, arcs))
     return steps, bits
-
-
-# The ports each join connects, by the names 0..3 of the crossing's ports.
-_JOINS = (((0, 1), (2, 3)), ((0, 3), (1, 2)))
 
 
 @cache
@@ -405,14 +409,15 @@ def _joins(strands: int) -> tuple:
     the weight's u-degrees, and the pairs of ports whose outside ends it
     links, where bit ``4i + j`` of ``strands`` is set for each strand
     that runs from port ``i`` of the crossing back to port ``j``: the
-    join's two pairs are spliced into the strands.  The A join's ``u``
+    join's two pairs are spliced into the strands: ports 0, 1 and 2, 3
+    for the A join, 0, 3 and 1, 2 for the B join.  The A join's ``u``
     and each circle's ``u**+-1`` flip the parity."""
     ends = [4, 5, 6, 7]  # port i's outside end is named i + 4
     for b in range(16):
         if strands >> b & 1:
             ends[b >> 2] = b & 3
     out = []
-    for flip, pairs in zip((1, 0), _JOINS):
+    for flip, pairs in (1, ((0, 1), (2, 3))), (0, ((0, 3), (1, 2))):
         link = dict(enumerate(ends))
         loops = 0
         for p, q in pairs:
@@ -477,14 +482,13 @@ def _weight_slots(c: int, all_b: int) -> tuple[int, int]:
     at ``x**-offset`` or above, ``P``'s one slot higher: every shift is
     exact.
 
-    So only the final weight must fit its slots, as balanced digits.
-    Thistlethwaite's spanning-tree expansion (Topology 26, 1987) writes
-    ``<D>`` as a sum of one signed monomial per spanning tree of the
-    checkerboard graph ``G`` of ``D``, which has ``c`` edges, so
-    ``||<D>||_1 <= tau(G) < 2**c`` for a connected diagram
-    (:func:`kauffman.diagram.parse_pd` rejects disconnected ones).  Then
-    ``||delta * <D>||_1 < 2**(c + 1)``, inside balanced ``c + 3``-bit
-    digits.
+    So only the bracket, the final weight divided by ``-(x + 1)``, must
+    fit its slots, as balanced digits.  Thistlethwaite's spanning-tree
+    expansion (Topology 26, 1987) writes ``<D>`` as a sum of one signed
+    monomial per spanning tree of the checkerboard graph ``G`` of ``D``,
+    which has ``c`` edges, so ``||<D>||_1 <= tau(G) < 2**c`` for a
+    connected diagram (:func:`kauffman.diagram.parse_pd` rejects
+    disconnected ones), inside balanced ``c + 3``-bit digits.
     """
     return c + 3, (all_b + 1) // 2
 
@@ -535,11 +539,12 @@ def bracket_fast(
     holds more than ``max_states``, never earlier than with every key
     kept, and the closed table's one key is 0 or the parity bit.
 
-    A state meets a step only through the fields the step reads, so each
-    step resolves its two joins once per distinct read fields: the mask
-    of the key bits it keeps, then per join the fields it sets with its
-    parity flip, and the circles it closes.  A read port whose strand
-    returns to the crossing is mapped back to the port at its other end.
+    A state meets a step only through the fields the step reads, so a
+    step builds a move once per distinct read fields: per join, one
+    integer to XOR into the key, and the circles it closes.  It empties
+    the read fields and the fields that name the read ports, which the
+    read fields locate, and writes the partners that the join links.  A
+    read port whose partner is read too returns to the crossing.
 
     At ``A = 1`` the bracket of a diagram of ``mu`` components is
     ``+-2**(mu - 1)``; a value that fails this, as one from overflowed
@@ -552,18 +557,13 @@ def bracket_fast(
     width = max(opens)
     steps, field_bits = _frontier_plan(diagram, order, width)
     bits, offset = _weight_slots(c, circles(diagram, "B")[0])
-    two = 2 * bits
-    up = bits + 1
     field = (1 << field_bits) - 1
-    # by field value t, the shift and the mask of slot t - 1
+    # by field value t, the shift of slot t - 1
     slot_shift = [0] + [field_bits * s for s in range(width)]
-    slot_mask = [field << shift for shift in slot_shift]
     odd = 1 << field_bits * width
-    whole = 2 * odd - 1
     states = {0: 1 << (bits * offset)}
 
-    for done, step in enumerate(steps, 1):
-        read_mask, shifts, local, opened, arcs = step
+    for done, (read_mask, reads, local, ends, arcs) in enumerate(steps, 1):
         moves: dict[int, tuple] = {}  # read fields -> move
         new_states: dict[int, int] = {}
         get = new_states.get
@@ -571,33 +571,31 @@ def bracket_fast(
             far = key & read_mask
             move = moves.get(far)
             if move is None:
-                ends = opened.copy()  # per port, its outside end's field
-                clear = read_mask
+                outer = ends.copy()  # per port, its outside end's field
                 strands = arcs
-                for i, shift in shifts:
+                vals = far  # empties the read fields
+                for i, shift, own in reads:
                     t = far >> shift & field
                     j = local.get(t)
-                    if j is None:
-                        ends[i] = t
-                        clear |= slot_mask[t]
-                    else:  # j is read too and sets the other bit
+                    if j is None:  # and the partner's, which holds own
+                        outer[i] = t
+                        vals ^= own << slot_shift[t]
+                    else:
                         strands |= 1 << 4 * i + j
-                (loops_a, flip, pairs), join_b = _joins(strands)
-                vals_a = odd if flip else 0
-                for i, k in pairs:
-                    a, b = ends[i], ends[k]
-                    vals_a |= b << slot_shift[a] | a << slot_shift[b]
-                loops_b, flip, pairs = join_b
-                vals_b = odd if flip else 0
-                for i, k in pairs:
-                    a, b = ends[i], ends[k]
-                    vals_b |= b << slot_shift[a] | a << slot_shift[b]
-                keep = whole ^ clear
-                moves[far] = keep, vals_a, loops_a, vals_b, loops_b
+                (loops_a, flip_a, pairs_a), (loops_b, flip_b, pairs_b) = (
+                    _joins(strands))
+                vals_a = vals ^ odd if flip_a else vals
+                for i, k in pairs_a:
+                    a, b = outer[i], outer[k]
+                    vals_a ^= b << slot_shift[a] ^ a << slot_shift[b]
+                vals_b = vals ^ odd if flip_b else vals
+                for i, k in pairs_b:
+                    a, b = outer[i], outer[k]
+                    vals_b ^= b << slot_shift[a] ^ a << slot_shift[b]
+                moves[far] = vals_a, loops_a, vals_b, loops_b
             else:
-                keep, vals_a, loops_a, vals_b, loops_b = move
+                vals_a, loops_a, vals_b, loops_b = move
             parity = key & odd
-            key &= keep
             # The A join multiplies by A = u * A^-1 and the B join by
             # A^-1; the A^-1 of every crossing is put back at the end.
             # The products are the table of _weight_slots.
@@ -607,7 +605,7 @@ def bracket_fast(
             elif loops_a == 1:
                 w = -((weight << bits) + weight)
             elif parity:
-                w = (weight << two) + (weight << up) + weight
+                w = (weight << 2 * bits) + (weight << (bits + 1)) + weight
             else:
                 w = (weight << bits) + (weight << 1) + (weight >> bits)
             prior = get(bkey)
@@ -641,12 +639,15 @@ def bracket_fast(
 
     if len(states) != 1 or not states.keys() <= {0, odd}:
         raise AssertionError("sweep left open strands")
-    # Every closed circle contributed a delta, so this is delta times
-    # the normalized bracket; slot j holds A^(2e + 4j - 4 offset - c).
+    # Every closed circle contributed a delta = -A^-2 * (x + 1), so
+    # this is the normalized bracket times -(X + 1), one A^2 lower;
+    # slot j holds A^(2e + 4j - 4 offset - c).
     (key, weight), = states.items()
+    quotient, remainder = divmod(weight, (1 << bits) + 1)
+    if remainder:
+        raise InexactDivisionError("last weight is not a multiple of delta")
     value = LaurentPoly.from_digits(
-        weight, bits, 2 * (key == odd) - 4 * offset - c, 4
-    ).exact_div(DELTA)
+        -quotient, bits, 2 * (key == odd) - 4 * offset - c + 2, 4)
     at_one = sum(k for _, k in value.terms())
     if abs(at_one) != 2 ** (len(diagram.components) - 1):
         raise AssertionError("sweep value fails the check at A = 1")

@@ -132,10 +132,8 @@ def reduced(
         raise ValueError(
             "the empty diagram has no component to reduce along"
         )
-    counted = _counted_sum(diagram, n, cap)
-    c0 = LaurentPoly.const(chebyshev(n).get(0, 0))
-    # scaled-convention total: delta * (counted - c0) + c0
-    scaled = DELTA * (counted - c0) + c0
     sign, shift = _correction(diagram, n)
-    corrected = LaurentPoly.const(sign) * scaled.shift(shift)
-    return corrected.exact_div(unknot_reference(n))
+    counted = _counted_sum(diagram, n, cap, sign, shift)
+    # the scaled convention multiplies the positive widths by delta
+    unit = LaurentPoly({shift: sign * chebyshev(n).get(0, 0)})
+    return (DELTA * (counted - unit) + unit).exact_div(unknot_reference(n))

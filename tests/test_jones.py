@@ -146,19 +146,26 @@ class TestCabledBracket:
             with pytest.raises(TypeError):
                 fn(d, 2, max_states=5)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_one_pass_sum_is_the_ring_sum(self, corpus_diagrams, n):
         # unreduced adds the cable brackets and applies the writhe
-        # correction term by term in one dict; the polynomial ring
-        # operations give the same value
+        # correction term by term in one dict, and reduced multiplies
+        # that sum by delta once; the polynomial ring operations give
+        # the same values, reduced's on the knots, where it divides
         for name, d in corpus_diagrams.items():
-            total = LaurentPoly()
+            total = scaled = LaurentPoly()
             for m, c in chebyshev(n).items():
-                total = total + c * (bracket(cable(d, m)) if m else 1)
+                value = bracket(cable(d, m)) if m else 1
+                total = total + c * value
+                scaled = scaled + c * (DELTA * value if m else 1)
             w = writhe(d)
             sign = (-1) ** (n * w + n - 1)
-            expected = sign * total.shift(-w * (n * n + 2 * n))
-            assert unreduced(d, n) == expected, name
+            shift = -w * (n * n + 2 * n)
+            assert unreduced(d, n) == sign * total.shift(shift), name
+            if len(d.components) == 1:
+                expected = (sign * scaled.shift(shift)).exact_div(
+                    unknot_reference(n))
+                assert reduced(d, n) == expected, name
 
     @pytest.mark.parametrize("n,widths", [(3, [1, 3]), (4, [2, 4])])
     def test_brackets_only_the_widths_of_s_n(self, monkeypatch, n, widths):
