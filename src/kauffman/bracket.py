@@ -16,16 +16,17 @@ Engines:
   The two checkers share :func:`_loop_histogram` and :func:`_assemble`
   and differ only in the end table they start from: the port table, or
   the corners of the all-A ribbon graph, oriented across the chords.
-  Both enumerate depth first, splicing one crossing or edge at a time
-  into a table of open-strand ends and undoing it on the way back.
-  Once the first i crossings are resolved, the rest read only how the
-  table pairs their own ends, so each depth counts the rest once per
-  distinct pairing, which keeps the count exact: the cost is the
-  distinct pairings per depth, not 2^c.  The counts, one packed
-  integer, are read by Horner's rule in ``A**-2 * delta`` on one
-  integer, whose digits are decoded once (:func:`_assemble`).
-* ``bracket_fast``, the path independent of both, which shares no code
-  with them but the digit decoder of
+  Both enumerate depth first in the sweep's crossing order, splicing
+  one crossing or edge at a time into a table of open-strand ends and
+  undoing it on the way back.  Once i crossings are resolved, the rest
+  read only how the table pairs their own ends, so each depth counts
+  the rest once per distinct pairing: the cost is the distinct
+  pairings per depth, not 2^c, which the order's small open boundary
+  keeps few, and any order sums every resolution.  The packed counts
+  are read by Horner's rule in ``A**-2 * delta`` (:func:`_assemble`).
+* ``bracket_fast``, the path independent of both, which shares with
+  them only the crossing order, which sets their cost and not their
+  values, and the digit decoder of
   :class:`~kauffman.laurent.LaurentPoly`: a sweep that processes one
   crossing at a time and merges partial diagrams with identical
   open-strand matchings, the gluing of Bar-Natan's "Fast Khovanov
@@ -45,8 +46,7 @@ Engines:
   not carried.  One exact integer division by ``x + 1`` turns the last
   weight, ``delta`` times the bracket, into the bracket's digits.  A
   value that fails the check at ``A = 1`` is never returned.  The
-  number of live states stays small for cabled diagrams, which is where
-  the exponential engines give out.
+  number of live states stays small for cabled diagrams.
   Its cost is set by the crossing order (:func:`_sweep_order`): a greedy
   one that keeps the open boundary small, and where the sweep promises
   to be expensive, the best by score of greedy orders from several start
@@ -90,9 +90,7 @@ class CapExceeded(RuntimeError):
 
 
 def _crossingless_value(diagram: LinkDiagram) -> LaurentPoly:
-    if diagram.free_loops == 0:
-        return LaurentPoly.one()
-    return DELTA ** (diagram.free_loops - 1)
+    return DELTA ** max(diagram.free_loops - 1, 0)  # 1 with no loops
 
 
 def _assemble(packed: int, c: int) -> LaurentPoly:
@@ -138,25 +136,25 @@ def _assemble(packed: int, c: int) -> LaurentPoly:
     return LaurentPoly.from_digits(value, width, c + 2 * top - 2, -2)
 
 
-def _loop_histogram(link: list[int]) -> int:
+def _loop_histogram(link: tuple | list, order: list[int]) -> int:
     """Count the resolutions of the crossings by (B joins, closed loops).
 
     ``link`` pairs the ends of the open strands, four per crossing:
-    ``link[p]`` is the other end of the strand that ends at ``p``.
-    Crossing ``i`` owns ends ``4i .. 4i+3``; its A join (bit 0) joins
-    ``(4i, 4i+1)`` and ``(4i+2, 4i+3)``, its B join (bit 1)
-    ``(4i, 4i+3)`` and ``(4i+1, 4i+2)``.  Joining ``p`` and ``q``
+    ``link[p]`` is the other end of the strand that ends at ``p``, and
+    crossing ``i`` owns ends ``4i .. 4i+3``.  The crossings are resolved
+    depth first in ``order``, on a copy of ``link`` renumbered so that
+    crossing ``order[k]`` owns ends ``4k .. 4k+3``: its A join (bit 0)
+    joins ``(4k, 4k+1)`` and ``(4k+2, 4k+3)``, its B join (bit 1)
+    ``(4k, 4k+3)`` and ``(4k+1, 4k+2)``.  Joining ``p`` and ``q``
     closes a loop if they end one strand and otherwise splices two
-    strands into one, which is undone on the way back up, and ``link``
-    is as it was when this returns.
+    strands into one, which is undone on the way back up.
 
-    The crossings are resolved depth first in listed order.  Once
-    crossings ``0 .. i-1`` are resolved, every open strand ends at an
-    end of crossings ``i ..``, and resolving those reads and splices
-    ``link`` only there, so their histogram depends only on
-    ``link[4i:]``.  Each depth computes it once per distinct value and
-    looks it up after that, so the cost is two joins per distinct
-    pairing per depth, not 2^c resolutions.
+    Once ``k`` crossings are resolved, the rest read and splice the copy
+    only from end ``4k`` on, so their histogram depends only on that
+    suffix.  Each depth computes it once per distinct suffix and looks
+    it up after that: the cost is two joins per distinct pairing per
+    depth, not 2^c resolutions, which an order with a small open
+    boundary keeps few.  Every order counts the same resolutions.
 
     A histogram is one integer of ``c + 1``-bit slots, enough since no
     count exceeds ``2**c``, laid out loops-major: slot
@@ -166,6 +164,9 @@ def _loop_histogram(link: list[int]) -> int:
     histogram of all ``c`` crossings, which :func:`_assemble` reads.
     """
     c = len(link) // 4
+    at = sorted(range(c), key=order.__getitem__)  # crossing -> its place
+    link = [4 * at[q >> 2] | q & 3
+            for ci in order for q in link[4 * ci:4 * ci + 4]]
     # A row holds the counts of one loop count, one slot per bit count
     # 0..c; rows stack upward, so the loops (a resolution's circles, a
     # subgraph's faces) need no bound.  A B join adds a slot, a closed
@@ -220,22 +221,27 @@ def _loop_histogram(link: list[int]) -> int:
     return descend(0)
 
 
-def bracket_statesum(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
-    """Bracket as the sum over all 2^c states, enumerated depth first
-    over the crossings: the open strands start as the diagram's arcs,
-    and each crossing's A or B join splices them (bit 1 is B).  Each
-    depth counts the crossings below it once per pairing of their ends
-    (:func:`_loop_histogram`)."""
+def _checker_bracket(diagram, cap, kind, items, table) -> LaurentPoly:
+    """A checker's bracket, from the histogram of its end table
+    ``table()`` in the sweep's order, built only within budget ``cap``."""
     c = diagram.crossing_count
     if c == 0:
         return _crossingless_value(diagram)
     if c > cap:
-        raise CapExceeded(
-            f"state sum over 2^{c} resolutions exceeds cap {cap}",
-            {"crossings": c, "cap": cap},
-        )
-    histogram = _loop_histogram(list(diagram.partner))
-    return _assemble(histogram, c)
+        raise CapExceeded(f"{kind} over 2^{c} {items} exceeds cap {cap}",
+                          {"crossings": c, "cap": cap})
+    order, _ = diagram._memoize(("order",), lambda: _sweep_order(diagram))
+    return _assemble(_loop_histogram(table(), order), c)
+
+
+def bracket_statesum(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
+    """Bracket as the sum over all 2^c states, enumerated depth first
+    over the crossings in the sweep's order: the open strands start as
+    the diagram's arcs, and each crossing's A or B join splices them
+    (bit 1 is B).  Each depth counts the crossings below it once per
+    pairing of their ends (:func:`_loop_histogram`)."""
+    return _checker_bracket(diagram, cap, "state sum", "resolutions",
+                            lambda: diagram.partner)
 
 
 def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
@@ -243,31 +249,27 @@ def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
     graph, one term A^(c - 2e(H)) * delta^(f(H) - 1) per edge subset H.
 
     The faces are counted by the boundary walk, one edge at a time,
-    depth first over the edges.  End ``2d`` is the corner arriving at
-    dart ``d`` and ``2d + 1`` the corner leaving it; the rotations link
-    ``2d + 1`` to ``2 * next(d)``.  An absent edge with darts ``x, y``
-    joins ``(2x, 2x + 1)`` and ``(2y, 2y + 1)``, a present one
-    ``(2x, 2y + 1)`` and ``(2y, 2x + 1)``.  Edge ``e`` owns darts
-    ``2e, 2e + 1``, so these are the pairs of ends ``4e .. 4e + 3``
+    depth first over the edges in the sweep's order.  End ``2d`` is the
+    corner arriving at dart ``d`` and ``2d + 1`` the corner leaving it;
+    the rotations link ``2d + 1`` to ``2 * next(d)``.  An absent edge
+    with darts ``x, y`` joins ``(2x, 2x + 1)`` and ``(2y, 2y + 1)``, a
+    present one ``(2x, 2y + 1)`` and ``(2y, 2x + 1)``.  Edge ``e`` owns
+    darts ``2e, 2e + 1``, so these are the pairs of ends ``4e .. 4e + 3``
     that crossing ``e``'s A and B joins connect.  The rotations are
     :func:`kauffman.states.resolve`'s circles, read as they come; the
     tests hold each subset's face count to
     :meth:`kauffman.states.RibbonGraph.faces`.
     """
-    c = diagram.crossing_count
-    if c == 0:
-        return _crossingless_value(diagram)
-    if c > cap:
-        raise CapExceeded(
-            f"subgraph sum over 2^{c} edge subsets exceeds cap {cap}",
-            {"crossings": c, "cap": cap},
-        )
-    corners = [0] * (4 * c)
-    for rot in resolve(diagram):
-        for d, nxt in zip(rot, rot[1:] + rot[:1]):
-            corners[2 * d + 1] = 2 * nxt
-            corners[2 * nxt] = 2 * d + 1
-    return _assemble(_loop_histogram(corners), c)
+    def corners() -> list[int]:
+        table = [0] * (4 * diagram.crossing_count)
+        for rot in resolve(diagram):
+            for d, nxt in zip(rot, rot[1:] + rot[:1]):
+                table[2 * d + 1] = 2 * nxt
+                table[2 * nxt] = 2 * d + 1
+        return table
+
+    return _checker_bracket(
+        diagram, cap, "subgraph sum", "edge subsets", corners)
 
 
 # Start crossings an order search tries.
@@ -343,9 +345,7 @@ def _sweep_order(diagram: LinkDiagram) -> tuple[list[int], list[int]]:
     if max(opens) < 64 and sum(map(_CATALAN.__getitem__, opens)) <= starts * c:
         return best, opens
     rank = sorted(range(c), key=lambda ci: sorted(diagram.crossings[ci].slots))
-    pos = [0] * c
-    for r, ci in enumerate(rank):
-        pos[ci] = r
+    pos = sorted(range(c), key=rank.__getitem__)  # crossing -> its rank
     ranked = [[pos[x] for x in ends[ci]] for ci in rank]
     for i in range(starts):
         found = _greedy_order(ranked, i * c // starts, bound)
@@ -553,7 +553,7 @@ def bracket_fast(
     c = diagram.crossing_count
     if c == 0:
         return _crossingless_value(diagram)
-    order, opens = _sweep_order(diagram)
+    order, opens = diagram._memoize(("order",), lambda: _sweep_order(diagram))
     width = max(opens)
     steps, field_bits = _frontier_plan(diagram, order, width)
     bits, offset = _weight_slots(c, circles(diagram, "B")[0])

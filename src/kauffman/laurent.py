@@ -66,9 +66,10 @@ class LaurentPoly:
         terms = {}
         exponent = start
         while packed:
-            digit = ((packed + half) & mask) - half
-            terms[exponent] = digit
-            packed = (packed - digit) >> bits
+            if digit := ((packed + half) & mask) - half:
+                terms[exponent] = digit
+                packed -= digit
+            packed >>= bits
             exponent += step
         return cls(terms)
 

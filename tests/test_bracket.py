@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kauffman import bracket as bracket_module
 from kauffman.bracket import (
     BRACKET_ENGINES,
     DELTA,
@@ -24,13 +25,15 @@ from kauffman.bracket import (
     bracket_subgraph,
     _assemble,
     _frontier_plan,
+    _loop_histogram,
     _sweep_order,
     _weight_slots,
 )
 from kauffman.diagram import (
     LinkDiagram, cable, from_slot_tuples, mirror, parse_pd, serialize,
 )
-from kauffman.laurent import InexactDivisionError, LaurentPoly
+from kauffman.cli import main
+from kauffman.laurent import LaurentPoly
 from kauffman.states import RibbonGraph, resolve
 
 from conftest import seeded_closures, small_pool
@@ -561,9 +564,10 @@ class TestWeightBound:
         self, corpus_diagrams, monkeypatch
     ):
         # 3-bit slots hold the digits -4..3, too few for the final
-        # weights of several cables: the sweep raises rather than
-        # return a wrong value, and only the check at A = 1 catches the
-        # width-3 Hopf cable
+        # weights of several cables.  The last weight is divided by
+        # delta as an integer, exactly whatever its digits, so the check
+        # at A = 1 is what raises rather than return a wrong value; any
+        # other error fails the test
         cases = [(d, bracket_fast(d)) for d in _corpus_cables(corpus_diagrams)]
         monkeypatch.setattr(
             "kauffman.bracket._weight_slots", lambda c, all_b: (3, all_b)
@@ -572,8 +576,6 @@ class TestWeightBound:
         for d, expected in cases:
             try:
                 value = bracket_fast(d)
-            except InexactDivisionError:
-                continue
             except AssertionError as err:
                 assert "check at A = 1" in str(err)
                 caught_at_one += 1
@@ -669,6 +671,17 @@ class TestCheckersAgainstPerMaskWalks:
             _assemble(1, 1)
 
 
+def _corner_table(diagram):
+    """The end table of :func:`bracket_subgraph`: the corners of the
+    all-A ribbon graph, linked along its rotations."""
+    corners = [0] * (4 * diagram.crossing_count)
+    for rot in resolve(diagram):
+        for d, nxt in zip(rot, rot[1:] + rot[:1]):
+            corners[2 * d + 1] = 2 * nxt
+            corners[2 * nxt] = 2 * d + 1
+    return corners
+
+
 class TestMemoizedTail:
     """At every depth the checkers count the crossings below it, the
     tail, once per pairing of its open ends; they must count exactly
@@ -701,12 +714,51 @@ class TestMemoizedTail:
 
     def test_more_ends_than_a_byte_names(self):
         # 280 ends: the keys must name ends past 255 exactly; this
-        # closure keeps the memo near 8 MiB, where others of its size
-        # take up to 55
+        # closure keeps 336 histograms, about 5 MiB, per checker, where
+        # the closures of seeds 1-12 of its size keep up to 33 MiB
         (d,) = seeded_closures(31, 1, [70])
         expected = bracket_fast(d)
         assert bracket_statesum(d, cap=70) == expected
         assert bracket_subgraph(d, cap=70) == expected
+
+    def test_corpus_cables_past_the_default_cap(self, corpus_diagrams):
+        # up to the width-4 figure-eight cable's 64 crossings: in the
+        # sweep's order a cable's tails have few pairings, where the
+        # listed order, grid by grid, ran out of 3 GB on the 48
+        # crossings of the width-4 trefoil cable
+        for d in _corpus_cables(corpus_diagrams):
+            expected = bracket_fast(d)
+            assert bracket_statesum(d, cap=64) == expected, d
+            assert bracket_subgraph(d, cap=64) == expected, d
+
+    def test_any_order_counts_the_same(self, corpus_diagrams):
+        # the packed histogram of either end table, the ports or the
+        # all-A corners, under the listed order and seeded random
+        # orders.  The width-2 cables have 16-40 crossings, and a
+        # random order of one of 40 ran out of 1.5 GB, so there the seed
+        # shuffles the listing and the order is the shuffled cable's
+        # own sweep order, read back in the cable's numbering
+        rng = random.Random(43)
+        closures = seeded_closures(47, 40)
+        crossed = [d for d in corpus_diagrams.values() if d.crossing_count]
+        for d in crossed + closures:
+            c = d.crossing_count
+            for table in (d.partner, _corner_table(d)):
+                expected = _loop_histogram(table, range(c))
+                for _ in range(3):
+                    order = rng.sample(range(c), c)
+                    assert _loop_histogram(table, order) == expected, d
+        changed = 0
+        for seed, base in enumerate(closures):
+            d = cable(base, 2)
+            order, _ = _sweep_order(d)
+            shuffled, perm = _shuffled(d, seed)
+            other = [perm[ci] for ci in _sweep_order(shuffled)[0]]
+            changed += other != order
+            for table in (d.partner, _corner_table(d)):
+                expected = _loop_histogram(table, order)
+                assert _loop_histogram(table, other) == expected, d
+        assert changed >= 20  # 27 of the 40 orders differ
 
     def test_one_default_cap(self):
         # both checkers take up to 28 crossings unless told otherwise
@@ -717,3 +769,53 @@ class TestMemoizedTail:
             assert engine(within) == expected
             with pytest.raises(CapExceeded, match="exceeds cap 28$"):
                 engine(over)
+
+
+class TestOrderMemo:
+    """The sweep's crossing order, computed once per diagram object and
+    read by all three engines."""
+
+    @staticmethod
+    def _count_greedy(monkeypatch):
+        calls = []
+        greedy = bracket_module._greedy_order
+        monkeypatch.setattr(
+            bracket_module, "_greedy_order",
+            lambda *args: calls.append(args) or greedy(*args),
+        )
+        return calls
+
+    @pytest.mark.parametrize("width,greedy_runs", [(1, 1), (3, 17)])
+    def test_selftest_computes_the_order_once(
+        self, corpus_diagrams, monkeypatch, capsys, width, greedy_runs
+    ):
+        # the trefoil takes the greedy from crossing 0 alone; its
+        # width-3 cable, 27 crossings, also the search from 16 starts
+        pd = serialize(cable(corpus_diagrams["trefoil-left"], width))
+        calls = self._count_greedy(monkeypatch)
+        _sweep_order(parse_pd(pd))
+        assert len(calls) == greedy_runs
+        calls.clear()
+        assert main(["bracket", "--selftest", pd]) == 0
+        assert capsys.readouterr().out.endswith("engines agree\n")
+        assert len(calls) == greedy_runs
+
+    def test_refused_checker_computes_no_order(self, monkeypatch):
+        (over,) = seeded_closures(31, 1, [29])
+        calls = self._count_greedy(monkeypatch)
+        for engine in (bracket_statesum, bracket_subgraph):
+            with pytest.raises(CapExceeded, match="exceeds cap 28$"):
+                engine(over)
+        assert not calls
+        assert ("order",) not in over._memo
+
+    def test_no_engine_changes_the_memoized_order(self, corpus_diagrams):
+        # all three engines and a tripped sweep read the memoized order
+        # and open-port counts; none may change them
+        for name, width in [("trefoil-left", 3), ("figure-eight", 2)]:
+            d = cable(corpus_diagrams[name], width)
+            for engine in ENGINES:
+                bracket(d, engine=engine)
+            with pytest.raises(CapExceeded):
+                bracket_fast(d, max_states=3)
+            assert d._memo[("order",)] == _sweep_order(d), name

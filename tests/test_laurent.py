@@ -30,6 +30,11 @@ class TestConstruction:
         a = LaurentPoly({1: 1})
         assert len((a + 1) * (a - 1)) == 2
         assert len(LaurentPoly({4: 0, 0: 1})) == 1
+        # digits 3, 0, 0, -2, 0, 1 in balanced base 16, the -2 borrowing
+        # from the zero above it
+        packed = 3 - (2 << 12) + (1 << 20)
+        q = LaurentPoly.from_digits(packed, 4, -6, 2)
+        assert q == LaurentPoly({-6: 3, 0: -2, 4: 1}) and len(q) == 3
 
     def test_immutable(self):
         p = LaurentPoly({1: 1})
