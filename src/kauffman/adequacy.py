@@ -326,7 +326,7 @@ def analyze(
             "detector computed from this diagram; "
             "diagram-independence is not certified here"
         )
-        if t_poly == LaurentPoly.one():
+        if t_poly == LaurentPoly({0: 1}):
             notes.append(
                 "detector equals 1: in published tables this value "
                 "accompanies fibered examples (informational only)"

@@ -90,7 +90,10 @@ class CapExceeded(RuntimeError):
 
 
 def _crossingless_value(diagram: LinkDiagram) -> LaurentPoly:
-    return DELTA ** max(diagram.free_loops - 1, 0)  # 1 with no loops
+    # delta**k = (-1)**k * sum_j C(k, j) * A**(2k - 4j), 1 with no loops
+    k = max(diagram.free_loops - 1, 0)
+    return LaurentPoly({2 * k - 4 * j: (-1) ** k * comb(k, j)
+                        for j in range(k + 1)})
 
 
 def _assemble(packed: int, c: int) -> LaurentPoly:
@@ -231,7 +234,11 @@ def _checker_bracket(diagram, cap, kind, items, table) -> LaurentPoly:
         raise CapExceeded(f"{kind} over 2^{c} {items} exceeds cap {cap}",
                           {"crossings": c, "cap": cap})
     order, _ = diagram._memoize(("order",), lambda: _sweep_order(diagram))
-    return _assemble(_loop_histogram(table(), order), c)
+    try:  # the descent recurses once per crossing, deepest on its first path
+        return _assemble(_loop_histogram(table(), order), c)
+    except RecursionError:
+        raise CapExceeded(f"{kind} over {c} crossings exceeds the recursion "
+                          "limit", {"crossings": c, "cap": cap}) from None
 
 
 def bracket_statesum(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:

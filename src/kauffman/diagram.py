@@ -67,11 +67,6 @@ class Crossing(NamedTuple):
     slots: tuple[int, int, int, int]
     sign: int
 
-    @property
-    def over_in_slot(self) -> int:
-        """Slot where the overstrand enters: 3 for positive, 1 for negative."""
-        return 3 if self.sign > 0 else 1
-
 
 @dataclass(frozen=True)
 class LinkDiagram:
@@ -118,10 +113,6 @@ class LinkDiagram:
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-    @property
-    def arc_count(self) -> int:
-        return 2 * len(self.crossings)
 
     @property
     def negative_count(self) -> int:
@@ -265,11 +256,6 @@ def _check_connected(partner: list[int]) -> None:
         )
 
 
-def _passage_exit(port: int) -> int:
-    """Exit port of the passage entered at ``port``: slots 0<->2, 1<->3."""
-    return port ^ 2
-
-
 def _trace_components(
     tuples: list[tuple[int, int, int, int]], partner: list[int]
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
@@ -292,7 +278,8 @@ def _trace_components(
         # the port where each arc of the trace enters a passage, from
         # the first port of label ``start``
         ports = [label.index(start)]
-        while (port := partner[_passage_exit(ports[-1])]) != ports[0]:
+        # a passage entered at slot s exits at s ^ 2: slots 0<->2, 1<->3
+        while (port := partner[ports[-1] ^ 2]) != ports[0]:
             ports.append(port)
         arcs = [label[p] for p in ports]
         size = len(arcs)
@@ -392,7 +379,8 @@ def mirror(diagram: LinkDiagram) -> LinkDiagram:
     """
     if not diagram.crossings:
         return diagram
-    rotated = [x.slots[x.over_in_slot:] + x.slots[:x.over_in_slot]
+    # the overstrand enters at slot 2 + sign: 3 if positive, 1 if negative
+    rotated = [x.slots[2 + x.sign:] + x.slots[:2 + x.sign]
                for x in diagram.crossings]
     signs = [-x.sign for x in diagram.crossings]
     return _assemble(rotated, signs, diagram.components, _port_table(rotated))
@@ -457,7 +445,7 @@ def simplify(diagram: LinkDiagram) -> LinkDiagram:
     slots = [[0] * 4 for _ in kept]
     entry = 4 * kept[0]  # slot 0 is entered along the orientation
     for label in range(1, 2 * len(kept) + 1):
-        leave = _passage_exit(entry)
+        leave = entry ^ 2
         entry = partner[leave]
         for v in (leave, entry):
             slots[index[v >> 2]][v & 3] = label
@@ -494,8 +482,8 @@ def _build_cable(diagram: LinkDiagram, n: int) -> LinkDiagram:
     # order, so step s after a is n*n*(lo-1) + k*n*L + (a-lo)*n + 1 + s,
     # and copy k is the component of the n*L labels from first[lo] +
     # k*stride[lo].
-    first = [0] * (diagram.arc_count + 1)
-    stride = [0] * (diagram.arc_count + 1)
+    first = [0] * (2 * diagram.crossing_count + 1)
+    stride = [0] * (2 * diagram.crossing_count + 1)
     components: list[tuple[int, ...]] = []
     for comp in diagram.components:
         lo = comp[0]

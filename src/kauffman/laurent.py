@@ -29,8 +29,9 @@ class LaurentPoly:
     every operation builds its result through it.  (Exact division
     also drops them from its working remainder, whose top term ends
     its loop.)
-    Supports ring arithmetic, exact division, degree queries and
-    canonical text/JSON rendering.
+    Supports ring arithmetic on polynomial operands only (a constant
+    ``c`` is ``LaurentPoly({0: c})``), exact division, degree queries
+    and canonical text/JSON rendering.
     """
 
     __slots__ = ("_terms",)
@@ -43,14 +44,6 @@ class LaurentPoly:
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def const(cls, value: int) -> "LaurentPoly":
-        return cls({0: value})
 
     @classmethod
     def from_digits(
@@ -103,37 +96,26 @@ class LaurentPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
             return self._terms == other._terms
-        if isinstance(other, int):
-            return self._terms == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
-        # a constant equals its integer, so it must hash like one
-        if not self._terms.keys() - {0}:
-            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- ring arithmetic -------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         terms = dict(self._terms)
-        for exponent, coefficient in _coerce(other)._terms.items():
+        for exponent, coefficient in other._terms.items():
             terms[exponent] = terms.get(exponent, 0) + coefficient
         return LaurentPoly(terms)
-
-    __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._terms.items()})
 
-    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return self + (-_coerce(other))
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self + (-other)
 
-    def __rsub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
-        other = _coerce(other)
+    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         product: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
@@ -141,23 +123,7 @@ class LaurentPoly:
                 product[exponent] = product.get(exponent, 0) + c1 * c2
         return LaurentPoly(product)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, power: int) -> "LaurentPoly":
-        if power < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while power:
-            if power & 1:
-                result = result * base
-            base = base * base
-            power >>= 1
-        return result
-
-    def shift(self, offset: int) -> "LaurentPoly":
-        """Multiply by the variable raised to ``offset``."""
-        return LaurentPoly({e + offset: c for e, c in self._terms.items()})
+    __rmul__ = __mul__  # perfbench/tracer.py wraps it by name
 
     def invert_variable(self) -> "LaurentPoly":
         """Substitute the variable by its reciprocal (negate exponents)."""
@@ -247,23 +213,14 @@ class LaurentPoly:
                 pieces.append(f"{sign} {body}")
         return " ".join(pieces)
 
-    def to_pairs(self) -> list[list[int]]:
-        """JSON-friendly [[exponent, coefficient], ...], decreasing exponent."""
-        return [[e, c] for e, c in self.terms()]
-
     def to_json(self, var: str = "A") -> dict:
-        """``{"pairs": to_pairs(), "text": to_text(var)}``, the form of
-        a polynomial in every JSON document the package writes."""
-        return {"pairs": self.to_pairs(), "text": self.to_text(var=var)}
+        """``{"pairs": [[exponent, coefficient], ...], "text": to_text(var)}``
+        by decreasing exponent, in every JSON document the package writes."""
+        return {"pairs": [[e, c] for e, c in self.terms()],
+                "text": self.to_text(var=var)}
 
     def __str__(self) -> str:
         return self.to_text()
 
     def __repr__(self) -> str:
         return f"LaurentPoly({dict(sorted(self._terms.items()))!r})"
-
-
-def _coerce(value: "LaurentPoly | int") -> LaurentPoly:
-    if isinstance(value, LaurentPoly):
-        return value
-    return LaurentPoly({0: value})

@@ -9,6 +9,16 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from kauffman.corpus import bundled
 from kauffman.diagram import from_slot_tuples, parse_pd, DiagramError
+from kauffman.laurent import LaurentPoly
+
+
+def power(p, k):
+    """``p`` to the ``k >= 0``, by repeated multiplication: the package
+    has no power operator."""
+    result = LaurentPoly({0: 1})
+    for _ in range(k):
+        result = result * p
+    return result
 
 
 @pytest.fixture(scope="session")

@@ -36,7 +36,7 @@ from kauffman.cli import main
 from kauffman.laurent import LaurentPoly
 from kauffman.states import RibbonGraph, resolve
 
-from conftest import seeded_closures, small_pool
+from conftest import power, seeded_closures, small_pool
 from oracles import checkerboard_tree_counts, oracle_bracket
 
 ENGINES = sorted(BRACKET_ENGINES)
@@ -109,13 +109,18 @@ class TestFrozenValues:
 
 class TestNormalization:
     def test_empty_diagram(self):
-        assert bracket(LinkDiagram.crossingless(0)) == LaurentPoly.one()
+        assert bracket(LinkDiagram.crossingless(0)) == LaurentPoly({0: 1})
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    @pytest.mark.parametrize("m", range(9))
     def test_crossingless_unlinks(self, m):
-        expected = DELTA ** (m - 1)
+        # delta^(m - 1) by repeated multiplication, and 1 for m = 0 and
+        # 1: a check of the closed form that every engine returns
+        expected = power(DELTA, max(m - 1, 0))
+        d = LinkDiagram.crossingless(m)
+        for fn in (bracket_fast, bracket_statesum, bracket_subgraph):
+            assert fn(d) == expected
         for engine in ENGINES:
-            assert bracket(LinkDiagram.crossingless(m), engine=engine) == expected
+            assert bracket(d, engine=engine) == expected
 
 
 class TestMirrorDuality:
@@ -149,6 +154,17 @@ class TestResourceCaps:
     def test_fast_cap(self, corpus_diagrams):
         with pytest.raises(CapExceeded, match="exceed max_states=1"):
             bracket_fast(corpus_diagrams["figure-eight"], max_states=1)
+
+    def test_checkers_deeper_than_the_recursion_limit(self):
+        # the checkers' descent recurses once per crossing, so a chain
+        # of 1,200 curls passes a raised cap but not the interpreter's
+        # depth limit; the sweep does not recurse
+        d = _kink_chain(1200, -1)
+        for checker in (bracket_statesum, bracket_subgraph):
+            with pytest.raises(CapExceeded, match="recursion limit") as info:
+                checker(d, cap=10**6)
+            assert info.value.detail == {"crossings": 1200, "cap": 10**6}
+        assert bracket_fast(d) == LaurentPoly({-3600: 1})  # (-A^-3)^1200
 
     @pytest.mark.parametrize(
         "name,width,cap,crossings_done,open_ports",
@@ -230,7 +246,8 @@ class TestResourceCaps:
 
     def test_caps_do_not_trigger_on_crossingless_input(self):
         # the crossingless shortcut precedes the cap check
-        assert bracket_statesum(LinkDiagram.crossingless(4), cap=0) == DELTA**3
+        d = LinkDiagram.crossingless(4)
+        assert bracket_statesum(d, cap=0) == power(DELTA, 3)
 
 
 class TestLargerConsistency:
@@ -440,7 +457,7 @@ class TestSweepBeyondOracle:
         d = _kink_chain(n, sign)
         assert d.crossing_count == n
         assert all(x.sign == sign for x in d.crossings)
-        assert bracket_fast(d) == LaurentPoly({3 * sign: -1}) ** n
+        assert bracket_fast(d) == LaurentPoly({3 * sign * n: (-1) ** n})
 
     @pytest.mark.parametrize("c", [1, 4, 48])
     def test_packed_weights_round_trip_at_the_bound(self, c):
@@ -609,7 +626,7 @@ def _per_mask_bracket(c, loops_of):
     total = LaurentPoly()
     for mask in range(1 << c):
         b = bin(mask).count("1")
-        term = LaurentPoly({c - 2 * b: 1}) * DELTA ** (loops_of(mask) - 1)
+        term = LaurentPoly({c - 2 * b: 1}) * power(DELTA, loops_of(mask) - 1)
         total = total + term
     return total
 
@@ -648,7 +665,7 @@ class TestCheckersAgainstPerMaskWalks:
         # the last curl of a chain closes both of its loops in one of
         # its two joins, at the deepest memoized depth
         d = _kink_chain(n, sign)
-        expected = LaurentPoly({3 * sign: -1}) ** n
+        expected = LaurentPoly({3 * sign * n: (-1) ** n})
         assert bracket_statesum(d) == expected
         assert bracket_subgraph(d) == expected
 
@@ -661,7 +678,7 @@ class TestCheckersAgainstPerMaskWalks:
         row = slot * slot
         for b in sorted({0, c // 2, c}):
             packed = 2**c << (c + 1) * row + b * slot
-            expected = LaurentPoly({c - 2 * b: 2**c}) * DELTA**c
+            expected = LaurentPoly({c - 2 * b: 2**c}) * power(DELTA, c)
             assert _assemble(packed, c) == expected
 
     def test_a_resolution_without_a_loop_raises(self):

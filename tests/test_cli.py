@@ -190,7 +190,7 @@ class TestExitCodes:
     def test_engine_disagreement_is_one(self, capsys, monkeypatch, json_flag):
         monkeypatch.setitem(
             bracket_module.BRACKET_ENGINES, "subgraph",
-            lambda diagram, **limits: LaurentPoly.one(),
+            lambda diagram, **limits: LaurentPoly({0: 1}),
         )
         rc, out, err = run(capsys, "bracket", "--selftest", *json_flag,
                            LH_TREFOIL)
@@ -267,6 +267,23 @@ class TestProcess:
         capped = self._spawn("bracket", "--cap", "0", KINK_POS)
         assert capped.returncode == 3 and capped.stdout == ""
         assert capped.stderr.startswith("resource cap exceeded")
+
+    @pytest.mark.parametrize(
+        "engine", [["--engine", "statesum"], ["--selftest"]])
+    def test_checker_recursion_is_a_cap(self, tmp_path, engine):
+        # 1,200 negative curls pass a raised --cap, but the checkers'
+        # depth-first descent would recurse past the interpreter's limit
+        n = 1200
+        path = tmp_path / "curls.pd"
+        path.write_text(" ".join(
+            f"X[{2 * i + 1},{2 * i + 2},{2 * i + 2},{(2 * i + 3) % (2 * n)}]"
+            for i in range(n)
+        ))
+        capped = self._spawn("bracket", *engine, "--cap", "5000", str(path))
+        assert capped.returncode == 3 and capped.stdout == ""
+        assert capped.stderr.count("\n") == 1
+        assert capped.stderr.startswith("resource cap exceeded: state sum")
+        assert "recursion limit" in capped.stderr
 
     def test_import_leaves_out_the_process_pool(self):
         # only verify --workers N uses it, and loading it costs every
@@ -608,7 +625,7 @@ class TestVerifyFailures:
     def test_engine_agreement(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setitem(
             bracket_module.BRACKET_ENGINES, "subgraph",
-            lambda diagram, **limits: LaurentPoly.one(),
+            lambda diagram, **limits: LaurentPoly({0: 1}),
         )
         failure = self._failed(capsys, tmp_path=tmp_path)
         assert failure["check"] == "engine-agreement"
@@ -621,7 +638,7 @@ class TestVerifyFailures:
         monkeypatch.setitem(
             bracket_module.BRACKET_ENGINES, "subgraph",
             lambda diagram, **limits: real(diagram, **limits)
-            if diagram.crossing_count <= 3 else LaurentPoly.one(),
+            if diagram.crossing_count <= 3 else LaurentPoly({0: 1}),
         )
         failure = self._failed(capsys, tmp_path=tmp_path)
         assert failure == {

@@ -77,7 +77,7 @@ class TestParse:
         w, comps, arcs, loops, signs = FROZEN_SHAPE[name]
         assert writhe(d) == w
         assert len(d.components) == comps
-        assert d.arc_count == arcs
+        assert len({a for x in d.crossings for a in x.slots}) == arcs
         assert d.free_loops == loops
         assert tuple(c.sign for c in d.crossings) == signs
 
@@ -94,7 +94,7 @@ class TestParse:
         plain = ((((1, 3, 2, 4), 1), ((3, 1, 4, 2), 1)), ((1, 2), (3, 4)), 0)
         assert hash(d) == hash(plain)
         assert d == parse_pd(serialize(d)) and d != mirror(d)
-        assert [x.over_in_slot for x in mirror(d).crossings] == [1, 1]
+        assert [x.sign for x in mirror(d).crossings] == [-1, -1]
 
     def test_corpus_round_trips(self):
         for entry in bundled():
@@ -246,7 +246,7 @@ class TestParseOutcomesPinned:
             i = rng.randrange(len(tuples))
             rotated = list(tuples)
             rotated[i] = tuples[i][1:] + tuples[i][:1]
-            a, b = rng.sample(range(1, d.arc_count + 1), 2)
+            a, b = rng.sample(range(1, 2 * d.crossing_count + 1), 2)
             swap = {a: b, b: a}
             swapped = [[swap.get(x, x) for x in t] for t in tuples]
             codes += [
@@ -307,9 +307,10 @@ class TestMirror:
         reoriented = set()
         for d in base + [cable(d, n) for d in base for n in (2, 3)]:
             m = mirror(d)
+            # the overstrand enters at slot 3 if positive, 1 if negative
             expected = from_slot_tuples([
-                x.slots[x.over_in_slot:] + x.slots[:x.over_in_slot]
-                for x in d.crossings
+                x.slots[k:] + x.slots[:k]
+                for x in d.crossings for k in [3 if x.sign > 0 else 1]
             ])
             assert serialize(m) == serialize(expected)
             assert m.partner == expected.partner

@@ -47,7 +47,7 @@ def kink_factor(e):
 
 def _heads(x):
     """Slots where the crossing's two passages are entered."""
-    return (0, x.over_in_slot)
+    return (0, 3 if x.sign > 0 else 1)
 
 
 def _splice(knot, pieces):
@@ -82,7 +82,7 @@ def add_kink(knot, rng):
     """A kink of random writhe on a random arc; returns the new diagram
     and the writhe."""
     e = rng.choice((1, -1))
-    a = rng.randint(1, knot.arc_count)
+    a = rng.randint(1, 2 * knot.crossing_count)
     tuples, piece = _splice(knot, {a: 3})
     tuples.append(KINKS[e, rng.choice(("under", "over"))](
         *(piece(a, i) for i in range(3))
@@ -154,7 +154,7 @@ class TestInsertedMoves:
         if side == "mirror":
             base = mirror(base)
         rng = Random(f"{name}-{side}")
-        moved, factor = base, LaurentPoly.const(1)
+        moved, factor = base, LaurentPoly({0: 1})
         for _ in range(2):
             moved, e = add_kink(moved, rng)
             factor = factor * kink_factor(e)
