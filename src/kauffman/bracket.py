@@ -7,23 +7,15 @@ convention.
 
 Engines:
 
-* ``bracket_statesum``: sum over all 2^c resolutions, counting
-  circles as the crossings' joins splice the diagram's arcs.  The
-  reference implementation.
-* ``bracket_subgraph``: sum over spanning subgraphs of the all-A state
-  ribbon graph, using boundary-component counts.
-
-  The two checkers share :func:`_loop_histogram` and :func:`_assemble`
-  and differ only in the end table they start from: the port table, or
-  the corners of the all-A ribbon graph, oriented across the chords.
-  Both enumerate depth first in the sweep's crossing order, splicing
-  one crossing or edge at a time into a table of open-strand ends and
-  undoing it on the way back.  Once i crossings are resolved, the rest
-  read only how the table pairs their own ends, so each depth counts
-  the rest once per distinct pairing: the cost is the distinct
-  pairings per depth, not 2^c, which the order's small open boundary
-  keeps few, and any order sums every resolution.  The packed counts
-  are read by Horner's rule in ``A**-2 * delta`` (:func:`_assemble`).
+* ``bracket_statesum`` and ``bracket_subgraph``, the checkers: the sums
+  over all 2^c resolutions, counting circles as the crossings' joins
+  splice the diagram's arcs, and over the spanning subgraphs of the
+  all-A ribbon graph, counting its faces.  They share
+  :func:`_loop_histogram` and :func:`_assemble` and differ only in the
+  end table they start from.  Both resolve depth first in the sweep's
+  crossing order and count the crossings below a depth once per pairing
+  of their open ends, so their cost, and their ``max_states`` budget,
+  is the sweep's: pairings per step, not 2^c.
 * ``bracket_fast``, the path independent of both, which shares with
   them only the crossing order, which sets their cost and not their
   values, and the digit decoder of
@@ -45,8 +37,7 @@ Engines:
   its key, so the cancelled terms of reducible parts of a diagram are
   not carried.  One exact integer division by ``x + 1`` turns the last
   weight, ``delta`` times the bracket, into the bracket's digits.  A
-  value that fails the check at ``A = 1`` is never returned.  The
-  number of live states stays small for cabled diagrams.
+  value that fails the check at ``A = 1`` is never returned.
   Its cost is set by the crossing order (:func:`_sweep_order`): a greedy
   one that keeps the open boundary small, and where the sweep promises
   to be expensive, the best by score of greedy orders from several start
@@ -139,7 +130,11 @@ def _assemble(packed: int, c: int) -> LaurentPoly:
     return LaurentPoly.from_digits(value, width, c + 2 * top - 2, -2)
 
 
-def _loop_histogram(link: tuple | list, order: list[int]) -> int:
+_HISTOGRAM_BITS = 1 << 31  # 256 MiB, as histograms reach (c + 1)**3 bits
+
+
+def _loop_histogram(link: tuple | list, order: list[int],
+                    max_states: float = float("inf"), opens=()) -> int:
     """Count the resolutions of the crossings by (B joins, closed loops).
 
     ``link`` pairs the ends of the open strands, four per crossing:
@@ -153,11 +148,13 @@ def _loop_histogram(link: tuple | list, order: list[int]) -> int:
     strands into one, which is undone on the way back up.
 
     Once ``k`` crossings are resolved, the rest read and splice the copy
-    only from end ``4k`` on, so their histogram depends only on that
-    suffix.  Each depth computes it once per distinct suffix and looks
-    it up after that: the cost is two joins per distinct pairing per
-    depth, not 2^c resolutions, which an order with a small open
-    boundary keeps few.  Every order counts the same resolutions.
+    only from end ``4k`` on, a suffix that pairs the open ports as the
+    sweep's key does after step ``k``.  Each depth computes the rest's
+    histogram once per distinct suffix: two joins per pairing, not 2^c
+    resolutions, and every order counts the same resolutions.  A depth
+    whose memo passes ``max_states`` pairings raises the sweep's error,
+    ``opens`` being the order's open-port counts, and so do the memos,
+    all live until the end, once they pass ``_HISTOGRAM_BITS`` bits.
 
     A histogram is one integer of ``c + 1``-bit slots, enough since no
     count exceeds ``2**c``, laid out loops-major: slot
@@ -187,9 +184,11 @@ def _loop_histogram(link: tuple | list, order: list[int]) -> int:
     # Per crossing, each join's two pairs and the shift it adds.
     plan = [((p, p + 1, p + 2, p + 3, 0), (p, p + 3, p + 1, p + 2, slot))
             for p in range(0, 4 * c, 4)]
+    stored = 0  # bits of the histograms in the memos
 
     def descend(i: int) -> int:
         """The histogram of crossings ``i ..``."""
+        nonlocal stored
         key = freeze(link[4 * i:])
         memo = memos[i]
         histogram = memo.get(key)
@@ -219,39 +218,47 @@ def _loop_histogram(link: tuple | list, order: list[int]) -> int:
                 link[a] = p
                 link[b] = q
         memo[key] = histogram
+        stored += histogram.bit_length()
+        if len(memo) > max_states:
+            raise _cap_exceeded(max_states, i, c, opens)
+        if stored > _HISTOGRAM_BITS:
+            raise CapExceeded(f"memos exceed {_HISTOGRAM_BITS} histogram bits",
+                              {"crossings_done": i, "crossings_total": c})
         return histogram
 
-    return descend(0)
+    try:  # the descent recurses once per crossing, deepest on its first path
+        return descend(0)
+    except RecursionError:
+        raise CapExceeded(f"state sum over {c} crossings exceeds the recursion "
+                          "limit", {"crossings_total": c}) from None
+    finally:  # descend's closure holds itself: free the memos now
+        memos.clear()
 
 
-def _checker_bracket(diagram, cap, kind, items, table) -> LaurentPoly:
+def _checker_bracket(diagram, max_states, table) -> LaurentPoly:
     """A checker's bracket, from the histogram of its end table
-    ``table()`` in the sweep's order, built only within budget ``cap``."""
+    ``table()`` in the sweep's order, under ``max_states`` per depth."""
     c = diagram.crossing_count
     if c == 0:
         return _crossingless_value(diagram)
-    if c > cap:
-        raise CapExceeded(f"{kind} over 2^{c} {items} exceeds cap {cap}",
-                          {"crossings": c, "cap": cap})
-    order, _ = diagram._memoize(("order",), lambda: _sweep_order(diagram))
-    try:  # the descent recurses once per crossing, deepest on its first path
-        return _assemble(_loop_histogram(table(), order), c)
-    except RecursionError:
-        raise CapExceeded(f"{kind} over {c} crossings exceeds the recursion "
-                          "limit", {"crossings": c, "cap": cap}) from None
+    order, opens = diagram._memoize(("order",), lambda: _sweep_order(diagram))
+    return _assemble(_loop_histogram(table(), order, max_states, opens), c)
 
 
-def bracket_statesum(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
+def bracket_statesum(
+    diagram: LinkDiagram, *, max_states: int = 200_000
+) -> LaurentPoly:
     """Bracket as the sum over all 2^c states, enumerated depth first
     over the crossings in the sweep's order: the open strands start as
     the diagram's arcs, and each crossing's A or B join splices them
     (bit 1 is B).  Each depth counts the crossings below it once per
     pairing of their ends (:func:`_loop_histogram`)."""
-    return _checker_bracket(diagram, cap, "state sum", "resolutions",
-                            lambda: diagram.partner)
+    return _checker_bracket(diagram, max_states, lambda: diagram.partner)
 
 
-def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
+def bracket_subgraph(
+    diagram: LinkDiagram, *, max_states: int = 200_000
+) -> LaurentPoly:
     """Bracket as a sum over spanning subgraphs of the all-A ribbon
     graph, one term A^(c - 2e(H)) * delta^(f(H) - 1) per edge subset H.
 
@@ -275,8 +282,7 @@ def bracket_subgraph(diagram: LinkDiagram, *, cap: int = 28) -> LaurentPoly:
                 table[2 * nxt] = 2 * d + 1
         return table
 
-    return _checker_bracket(
-        diagram, cap, "subgraph sum", "edge subsets", corners)
+    return _checker_bracket(diagram, max_states, corners)
 
 
 # Start crossings an order search tries.
@@ -501,9 +507,9 @@ def _weight_slots(c: int, all_b: int) -> tuple[int, int]:
 
 
 def _cap_exceeded(max_states, done, c, opens) -> CapExceeded:
-    """The error of a sweep whose table outgrew ``max_states`` in step
-    ``done``, from 1, of an order with open-port counts ``opens``; the
-    table holds one key more, as each new key is counted."""
+    """The error of a table that outgrew ``max_states`` after step
+    ``done`` (a checker's depth 0 is closed, as the last step is) of an
+    order with open-port counts ``opens``; it holds one key more."""
     return CapExceeded(
         f"open-boundary pairings exceed max_states={max_states}",
         {"crossings_done": done, "crossings_total": c,
@@ -671,9 +677,9 @@ BRACKET_ENGINES = {
 def bracket(
     diagram: LinkDiagram, *, engine: str = "fast", cap: int | None = None
 ) -> LaurentPoly:
-    """Dispatch to a bracket engine by name, under one resource cap:
-    ``max_states`` for the sweep, the crossing budget ``cap`` for the
-    exponential engines; None keeps the engine's default.
+    """Dispatch to a bracket engine by name, under one resource cap, its
+    ``max_states``: the pairings of open ports the sweep may hold per
+    step, and a checker per depth; None keeps the default.
 
     The value is computed once per diagram object, by engine and cap,
     so the cable brackets of a diagram (its memoized cables' brackets)
@@ -686,9 +692,7 @@ def bracket(
         raise ValueError(
             f"unknown engine {engine!r}; choose from {sorted(BRACKET_ENGINES)}"
         ) from None
-    limits = {} if cap is None else {
-        "max_states" if engine == "fast" else "cap": cap
-    }
+    limits = {} if cap is None else {"max_states": cap}
     return diagram._memoize(
         ("bracket", engine, cap), lambda: fn(diagram, **limits)
     )

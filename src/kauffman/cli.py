@@ -310,9 +310,8 @@ def _command(subs, name: str, fn, render, help: str, *, pd: bool = True,
             "--cap",
             type=int,
             default=None,
-            help="resource cap: crossing budget for the state-sum and "
-            "subgraph engines, state budget for the fast engine; "
-            "bracket --selftest and verify apply the one number as both",
+            help="resource cap: live states per step for every engine "
+            "(per depth for the state-sum and subgraph checkers)",
         )
     p.add_argument(
         "--json",

@@ -60,15 +60,13 @@ def chebyshev(n: int) -> dict[int, int]:
 
 
 def _counted_sum(diagram: LinkDiagram, n: int, cap: int | None,
-                 sign: int = 1, shift: int = 0) -> LaurentPoly:
+                 sign: int, shift: int) -> LaurentPoly:
     """Chebyshev combination of cable brackets, counted convention,
     times ``sign * A**shift``, summed term by term into one dict.
 
     ``S_n`` with each power ``x**m`` (``m >= 1``) replaced by the
-    bracket of the width-``m`` cable and the constant term kept.  By
-    default no writhe correction is applied; this is the raw state sum
-    whose top degree the adequacy bounds speak about.  Only the widths
-    that ``S_n`` has (those of ``n``'s parity) are cabled and
+    bracket of the width-``m`` cable and the constant term kept.  Only
+    the widths that ``S_n`` has (those of ``n``'s parity) are cabled and
     bracketed, each under the resource ``cap`` of
     :func:`kauffman.bracket.bracket`.
     """

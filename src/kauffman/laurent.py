@@ -104,6 +104,8 @@ class LaurentPoly:
     # -- ring arithmetic -------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         terms = dict(self._terms)
         for exponent, coefficient in other._terms.items():
             terms[exponent] = terms.get(exponent, 0) + coefficient
@@ -116,6 +118,8 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         product: dict[int, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():

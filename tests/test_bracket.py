@@ -143,13 +143,16 @@ class TestSupportPattern:
 
 
 class TestResourceCaps:
+    # every engine's cap is its ``max_states``: the pairings of open
+    # ports the sweep holds per step, and a checker per depth
+
     def test_statesum_cap(self, corpus_diagrams):
-        with pytest.raises(CapExceeded, match=r"2\^3 resolutions exceeds cap 2"):
-            bracket_statesum(corpus_diagrams["trefoil-left"], cap=2)
+        with pytest.raises(CapExceeded, match="exceed max_states=1$"):
+            bracket_statesum(corpus_diagrams["trefoil-left"], max_states=1)
 
     def test_subgraph_cap(self, corpus_diagrams):
-        with pytest.raises(CapExceeded, match=r"2\^4 edge subsets exceeds cap 3"):
-            bracket_subgraph(corpus_diagrams["figure-eight"], cap=3)
+        with pytest.raises(CapExceeded, match="exceed max_states=1$"):
+            bracket_subgraph(corpus_diagrams["figure-eight"], max_states=1)
 
     def test_fast_cap(self, corpus_diagrams):
         with pytest.raises(CapExceeded, match="exceed max_states=1"):
@@ -157,13 +160,13 @@ class TestResourceCaps:
 
     def test_checkers_deeper_than_the_recursion_limit(self):
         # the checkers' descent recurses once per crossing, so a chain
-        # of 1,200 curls passes a raised cap but not the interpreter's
-        # depth limit; the sweep does not recurse
+        # of 1,200 curls, one pairing per depth, passes any budget but
+        # not the interpreter's depth limit; the sweep does not recurse
         d = _kink_chain(1200, -1)
         for checker in (bracket_statesum, bracket_subgraph):
             with pytest.raises(CapExceeded, match="recursion limit") as info:
-                checker(d, cap=10**6)
-            assert info.value.detail == {"crossings": 1200, "cap": 10**6}
+                checker(d, max_states=10**6)
+            assert info.value.detail == {"crossings_total": 1200}
         assert bracket_fast(d) == LaurentPoly({-3600: 1})  # (-A^-3)^1200
 
     @pytest.mark.parametrize(
@@ -240,14 +243,64 @@ class TestResourceCaps:
         assert info.value.detail["states"] == peak
 
     def test_cap_detail_payload(self, corpus_diagrams):
-        with pytest.raises(CapExceeded) as info:
-            bracket_statesum(corpus_diagrams["trefoil-left"], cap=2)
-        assert info.value.detail == {"crossings": 3, "cap": 2}
+        # the descent fills its deepest memos first, so a checker trips
+        # at the first depth that outgrows the cap, holding one more
+        for checker in (bracket_statesum, bracket_subgraph):
+            with pytest.raises(CapExceeded) as info:
+                checker(corpus_diagrams["trefoil-left"], max_states=1)
+            assert info.value.detail == {
+                "crossings_done": 2,
+                "crossings_total": 3,
+                "states": 2,
+                "open_ports": 4,
+            }
 
     def test_caps_do_not_trigger_on_crossingless_input(self):
         # the crossingless shortcut precedes the cap check
         d = LinkDiagram.crossingless(4)
-        assert bracket_statesum(d, cap=0) == power(DELTA, 3)
+        for fn in (bracket_fast, bracket_statesum, bracket_subgraph):
+            assert fn(d, max_states=0) == power(DELTA, 3)
+
+    @pytest.mark.parametrize(
+        "name,width,peak",
+        [
+            ("trefoil-left", 2, 10),
+            ("trefoil-left", 3, 84),
+            ("trefoil-left", 4, 858),
+            ("figure-eight", 2, 14),
+            ("figure-eight", 3, 132),
+            ("figure-eight", 4, 1430),
+            ("hopf-positive", 2, 4),
+            ("hopf-positive", 3, 14),
+            ("hopf-positive", 4, 42),
+        ],
+    )
+    def test_checkers_trip_at_the_sweeps_peak(
+        self, corpus_diagrams, name, width, peak
+    ):
+        # a checker's memo at depth k holds the pairings the sweep's
+        # table holds after step k, so on these cables, where no sweep
+        # state cancels, one cap trips all three engines alike
+        d = cable(corpus_diagrams[name], width)
+        expected = bracket_fast(d, max_states=peak)
+        for checker in (bracket_statesum, bracket_subgraph):
+            assert checker(d, max_states=peak) == expected
+            with pytest.raises(CapExceeded, match="exceed max_states") as info:
+                checker(d, max_states=peak - 1)
+            assert info.value.detail["states"] == peak
+        with pytest.raises(CapExceeded):
+            bracket_fast(d, max_states=peak - 1)
+
+    def test_checkers_bound_their_histogram_bits(self):
+        # 300 curls hold one pairing per depth, but every depth's memo
+        # stays live and the histograms grow as the cube of the
+        # crossings: about 4 * 10**9 bits in all, past the fixed bound
+        d = _kink_chain(300, -1)
+        for checker in (bracket_statesum, bracket_subgraph):
+            with pytest.raises(CapExceeded, match="histogram bits$") as info:
+                checker(d, max_states=10**6)
+            assert info.value.detail["crossings_total"] == 300
+        assert bracket_fast(d) == LaurentPoly({-900: 1})  # (-A^-3)^300
 
 
 class TestLargerConsistency:
@@ -722,7 +775,7 @@ class TestMemoizedTail:
             assert bracket_subgraph(d) == expected, d
 
     def test_width_three_trefoil_cable(self, corpus_diagrams):
-        # 27 crossings, within both checkers' default cap of 28
+        # 27 crossings, whose deepest memo holds the sweep's peak of 84
         d = cable(corpus_diagrams["trefoil-left"], 3)
         assert d.crossing_count == 27
         expected = bracket_fast(d)
@@ -735,18 +788,18 @@ class TestMemoizedTail:
         # the closures of seeds 1-12 of its size keep up to 33 MiB
         (d,) = seeded_closures(31, 1, [70])
         expected = bracket_fast(d)
-        assert bracket_statesum(d, cap=70) == expected
-        assert bracket_subgraph(d, cap=70) == expected
+        assert bracket_statesum(d) == expected
+        assert bracket_subgraph(d) == expected
 
-    def test_corpus_cables_past_the_default_cap(self, corpus_diagrams):
+    def test_corpus_cables_under_the_default_cap(self, corpus_diagrams):
         # up to the width-4 figure-eight cable's 64 crossings: in the
         # sweep's order a cable's tails have few pairings, where the
         # listed order, grid by grid, ran out of 3 GB on the 48
         # crossings of the width-4 trefoil cable
         for d in _corpus_cables(corpus_diagrams):
             expected = bracket_fast(d)
-            assert bracket_statesum(d, cap=64) == expected, d
-            assert bracket_subgraph(d, cap=64) == expected, d
+            assert bracket_statesum(d) == expected, d
+            assert bracket_subgraph(d) == expected, d
 
     def test_any_order_counts_the_same(self, corpus_diagrams):
         # the packed histogram of either end table, the ports or the
@@ -777,15 +830,19 @@ class TestMemoizedTail:
                 assert _loop_histogram(table, other) == expected, d
         assert changed >= 20  # 27 of the 40 orders differ
 
-    def test_one_default_cap(self):
-        # both checkers take up to 28 crossings unless told otherwise
-        (within,) = seeded_closures(31, 1, [28])
-        (over,) = seeded_closures(31, 1, [29])
-        expected = bracket_fast(within)
+    def test_one_default_cap(self, corpus_diagrams):
+        # all three engines default to the same state budget, which no
+        # crossing count caps: the width-3 figure-eight cable has 36
+        defaults = {
+            fn.__kwdefaults__["max_states"]
+            for fn in BRACKET_ENGINES.values()
+        }
+        assert defaults == {200_000}
+        d = cable(corpus_diagrams["figure-eight"], 3)
+        assert d.crossing_count == 36
+        expected = bracket_fast(d)
         for engine in (bracket_statesum, bracket_subgraph):
-            assert engine(within) == expected
-            with pytest.raises(CapExceeded, match="exceeds cap 28$"):
-                engine(over)
+            assert engine(d) == expected
 
 
 class TestOrderMemo:
@@ -818,13 +875,16 @@ class TestOrderMemo:
         assert len(calls) == greedy_runs
 
     def test_refused_checker_computes_no_order(self, monkeypatch):
-        (over,) = seeded_closures(31, 1, [29])
+        # a checker that its budget refuses reads the order that the
+        # sweep memoized, and stores no bracket
+        (d,) = seeded_closures(31, 1, [29])
+        bracket(d)
         calls = self._count_greedy(monkeypatch)
-        for engine in (bracket_statesum, bracket_subgraph):
-            with pytest.raises(CapExceeded, match="exceeds cap 28$"):
-                engine(over)
+        for engine in ("statesum", "subgraph"):
+            with pytest.raises(CapExceeded, match="exceed max_states=1$"):
+                bracket(d, engine=engine, cap=1)
+            assert ("bracket", engine, 1) not in d._memo
         assert not calls
-        assert ("order",) not in over._memo
 
     def test_no_engine_changes_the_memoized_order(self, corpus_diagrams):
         # all three engines and a tripped sweep read the memoized order

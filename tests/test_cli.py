@@ -21,7 +21,7 @@ from kauffman import bracket as bracket_module
 from kauffman import cli
 from kauffman.adequacy import InvariantViolation
 from kauffman.corpus import CorpusEntry, load_corpus_file
-from kauffman.diagram import serialize, simplify
+from kauffman.diagram import cable, parse_pd, serialize, simplify
 from kauffman.laurent import LaurentPoly
 
 from conftest import braid_closure, seeded_closures
@@ -30,8 +30,17 @@ from oracles import habiro_figure_eight, masbaum_trefoil
 LH_TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 KINK_POS = "X[1,1,2,2]"
 HOPF = "X[1,3,2,4] X[3,1,4,2]"
+FIGURE_EIGHT = "X[4,2,5,1] X[8,6,1,5] X[6,3,7,4] X[2,7,3,8]"
 LOOPY = "X[1,4,2,5] X[6,4,1,3] X[2,6,3,5]"
 STABLE_UNKNOT = "X[6,2,1,1] X[5,3,6,2] X[4,4,5,3]"
+
+
+def _curls(n):
+    """The PD code of an unknot with ``n`` negative curls in a row."""
+    return " ".join(
+        f"X[{2 * i + 1},{2 * i + 2},{2 * i + 2},{(2 * i + 3) % (2 * n)}]"
+        for i in range(n)
+    )
 
 
 def run(capsys, *argv):
@@ -76,12 +85,37 @@ class TestBracketCommand:
         assert sorted(payload["engines"]) == ["fast", "statesum", "subgraph"]
 
     def test_selftest_past_twenty_crossings(self, capsys):
-        # both checkers run up to 28 crossings under their default cap
+        # the checkers' default budget is the sweep's state budget,
+        # which a 24-crossing closure stays far below
         (d,) = seeded_closures(37, 1, [24])
         rc, out, err = run(capsys, "bracket", "--selftest", serialize(d))
         assert rc == 0
         assert out.endswith("engines agree\n")
         assert err == ""
+
+    @pytest.mark.parametrize("width", [3, 4])
+    def test_selftest_on_wide_figure_eight_cables(self, capsys, width):
+        # 36 and 64 crossings, but the checkers hold at most the
+        # sweep's 132 and 1,430 pairings per depth
+        pd = serialize(cable(parse_pd(FIGURE_EIGHT), width))
+        rc, out, err = run(capsys, "bracket", "--selftest", pd)
+        assert (rc, err) == (0, "")
+        assert out.endswith("engines agree\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["--selftest"], ["--engine", "statesum"]],
+        ids=["selftest", "statesum"])
+    def test_one_cap_for_every_engine(self, capsys, argv):
+        # the width-4 Hopf cable peaks at 42 pairings in the sweep and
+        # in each checker, so one number passes or trips them all
+        pd = serialize(cable(parse_pd(HOPF), 4))
+        assert run(capsys, "bracket", *argv, "--cap", "42", pd)[0] == 0
+        rc, out, err = run(capsys, "bracket", *argv, "--cap", "41", pd)
+        assert (rc, out) == (3, "")
+        assert err == (
+            "resource cap exceeded: open-boundary pairings exceed "
+            "max_states=41\n"
+        )
 
 
 class TestInputForms:
@@ -122,10 +156,13 @@ class TestExitCodes:
 
     def test_cap_exceeded_is_three(self, capsys):
         rc, _, err = run(
-            capsys, "bracket", "--engine", "statesum", "--cap", "2", LH_TREFOIL
+            capsys, "bracket", "--engine", "statesum", "--cap", "1", LH_TREFOIL
         )
         assert rc == 3
-        assert "resource cap exceeded: state sum over 2^3" in err
+        assert err == (
+            "resource cap exceeded: open-boundary pairings exceed "
+            "max_states=1\n"
+        )
 
     @pytest.mark.parametrize("argv", [
         ["cjones", "--n", "3", "--cap", "5", LH_TREFOIL],
@@ -273,17 +310,32 @@ class TestProcess:
     def test_checker_recursion_is_a_cap(self, tmp_path, engine):
         # 1,200 negative curls pass a raised --cap, but the checkers'
         # depth-first descent would recurse past the interpreter's limit
-        n = 1200
         path = tmp_path / "curls.pd"
-        path.write_text(" ".join(
-            f"X[{2 * i + 1},{2 * i + 2},{2 * i + 2},{(2 * i + 3) % (2 * n)}]"
-            for i in range(n)
-        ))
+        path.write_text(_curls(1200))
         capped = self._spawn("bracket", *engine, "--cap", "5000", str(path))
         assert capped.returncode == 3 and capped.stdout == ""
         assert capped.stderr.count("\n") == 1
         assert capped.stderr.startswith("resource cap exceeded: state sum")
         assert "recursion limit" in capped.stderr
+
+    def test_checker_memory_is_bounded_under_any_cap(self, tmp_path):
+        # 300 negative curls hold one pairing per depth, so no state
+        # budget stops the checkers, but their live histograms would
+        # reach about 4 * 10**9 bits, a 570 MB process; the fixed bound
+        # on those bits trips at 2**31, inside a 512 MiB address space
+        path = tmp_path / "curls.pd"
+        path.write_text(_curls(300))
+        capped = self._python("-c", (
+            "import resource, sys\n"
+            "limit = 512 << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from kauffman.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))"
+        ), "bracket", "--engine", "statesum", "--cap", "1000000", str(path))
+        assert (capped.returncode, capped.stdout) == (3, "")
+        assert capped.stderr == (
+            "resource cap exceeded: memos exceed 2147483648 histogram bits\n"
+        )
 
     def test_import_leaves_out_the_process_pool(self):
         # only verify --workers N uses it, and loading it costs every
@@ -359,7 +411,7 @@ class TestParserReuse:
         assert run(capsys, "bracket", LH_TREFOIL) == self.TREFOIL
 
     def test_a_cap_does_not_carry_over(self, capsys):
-        for engine, cap in (("statesum", "2"), ("fast", "1")):
+        for engine, cap in (("statesum", "1"), ("fast", "1")):
             rc, _, err = run(
                 capsys, "bracket", "--engine", engine, "--cap", cap,
                 LH_TREFOIL,
@@ -698,6 +750,9 @@ class TestVerifyFailures:
         }
 
     def test_resource_cap(self, capsys, tmp_path):
+        # the trefoil's pairings fit in 2, its width-2 cable's do not
         failure = self._failed(capsys, "--cap", "2", tmp_path=tmp_path)
-        assert failure["check"] == "resource-cap"
-        assert "exceeds cap 2" in failure["message"]
+        assert failure == {
+            "check": "resource-cap",
+            "message": "open-boundary pairings exceed max_states=2",
+        }

@@ -121,6 +121,18 @@ class TestRingAxioms:
             a.invert_variable() * b.invert_variable()
         )
 
+    @pytest.mark.parametrize("op", [
+        lambda p: p + 1,
+        lambda p: p - 1,
+        lambda p: p * 2,
+        lambda p: 2 * p,
+    ], ids=["add", "sub", "mul", "rmul"])
+    def test_integer_operand_is_a_type_error(self, op):
+        # operands are polynomials: an integer is refused by Python's
+        # own operator protocol, not read as a polynomial's terms
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(LaurentPoly({0: 1}))
+
 
 class TestExactDivision:
     @given(polys, nonzero_polys)
