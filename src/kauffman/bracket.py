@@ -59,6 +59,7 @@ __all__ = [
     "BRACKET_ENGINES",
     "CapExceeded",
     "DELTA",
+    "InvariantViolation",
     "bracket",
     "bracket_fast",
     "bracket_statesum",
@@ -78,6 +79,20 @@ class CapExceeded(RuntimeError):
     def __init__(self, message: str, detail: dict | None = None) -> None:
         super().__init__(message)
         self.detail = detail or {}
+
+
+class InvariantViolation(RuntimeError):
+    """A certified identity failed on concrete data.
+
+    Raised instead of returning a report whose fields contradict each
+    other; ``check`` names the identity for the command-line layer.
+    Defined here, beside :class:`CapExceeded`, so that the command line
+    maps both without loading the adequacy battery.
+    """
+
+    def __init__(self, check: str, message: str):
+        super().__init__(f"{check}: {message}")
+        self.check = check
 
 
 def _crossingless_value(diagram: LinkDiagram) -> LaurentPoly:

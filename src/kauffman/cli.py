@@ -9,10 +9,17 @@ bytes) and from which the text form is rendered.  :func:`main` alone
 picks the form and the exit code: 0 success, 1 a certified invariant
 failed (a document with ``"agree": false`` or ``"ok": false`` is
 printed, then the failed check is named on stderr), 2 malformed input
-or a file that cannot be read, 3 a resource cap was hit.
+or a file that cannot be read, 3 a resource cap was hit or the process
+ran out of memory.
 
 The argument parser is built once per process and shared by every
-:func:`main` call, so a long-lived caller pays for it once.
+:func:`main` call, so a long-lived caller pays for it once.  A short
+call pays for every module it loads, so each command loads only what
+it runs: ``bracket`` and ``cable`` load the polynomials, the diagram,
+its states, the bracket engines and the corpus; ``cjones`` adds
+:mod:`kauffman.jones`; ``adequacy`` and ``verify`` add
+:mod:`kauffman.adequacy` as well, and ``verify --workers N`` the
+process pool.
 """
 
 from __future__ import annotations
@@ -23,8 +30,7 @@ import json
 import os
 import sys
 
-from .adequacy import InvariantViolation, analyze, feasible_width
-from .bracket import BRACKET_ENGINES, CapExceeded, bracket
+from .bracket import BRACKET_ENGINES, CapExceeded, InvariantViolation, bracket
 from .corpus import bundled, load_corpus_file
 from .diagram import (
     DiagramError,
@@ -35,7 +41,6 @@ from .diagram import (
     serialize,
     simplify,
 )
-from .jones import reduced, unreduced
 from .laurent import NotDivisibleByFourError
 
 __all__ = ["main"]
@@ -92,6 +97,8 @@ def _render_bracket(doc: dict) -> str:
 
 
 def _cmd_cjones(diagram: LinkDiagram, args) -> dict:
+    from .jones import reduced, unreduced
+
     doc = {"pd": serialize(diagram), "width": args.n}
     if args.unreduced:
         value, var = unreduced(diagram, args.n, cap=args.cap), "A"
@@ -139,6 +146,8 @@ def _render_report(j: dict) -> str:
 
 
 def _cmd_adequacy(diagram: LinkDiagram, args) -> dict:
+    from .adequacy import analyze
+
     return analyze(
         diagram, n_max=args.nmax, series=args.series, cap=args.cap
     ).to_json()
@@ -156,6 +165,8 @@ def _cmd_cable(diagram: LinkDiagram, args) -> dict:
 
 def _verify_entry(payload) -> dict:
     """One corpus entry's whole check battery; runs in a worker."""
+    from .adequacy import analyze, feasible_width
+
     name, pd, label_a, label_b, nmax, cap = payload
     checks: list[str] = []
     done = checks.append
@@ -413,6 +424,11 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except CapExceeded as err:
         print(f"resource cap exceeded: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        # --cap counts states, not bytes, so the process's own memory
+        # limit is the backstop of the same budget
+        print("resource cap exceeded: out of memory", file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

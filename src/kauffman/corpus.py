@@ -8,13 +8,12 @@ per line (blank lines and ``#`` comments ignored) and carry no labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["CorpusEntry", "bundled", "load_corpus_file"]
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """A named diagram with optionally known adequacy flags."""
 
     name: str

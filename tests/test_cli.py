@@ -7,7 +7,6 @@ compared across runs and across worker counts.
 """
 
 import concurrent.futures
-import dataclasses
 import io
 import json
 import os
@@ -17,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from kauffman import adequacy
 from kauffman import bracket as bracket_module
 from kauffman import cli
 from kauffman.adequacy import InvariantViolation
@@ -246,7 +246,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise InvariantViolation("cable-degree-ceiling", "planted")
 
-        monkeypatch.setattr(cli, "analyze", broken)
+        monkeypatch.setattr(adequacy, "analyze", broken)
         rc, out, err = run(capsys, "adequacy", LH_TREFOIL)
         assert rc == 1
         assert out == ""
@@ -292,6 +292,17 @@ class TestProcess:
     def _spawn(self, *argv):
         return self._python("-m", "kauffman.cli", *argv)
 
+    def _spawn_limited(self, mib, *argv):
+        """``main(argv)`` in a process whose address space is limited to
+        ``mib`` MiB."""
+        return self._python("-c", (
+            "import resource, sys\n"
+            f"limit = {mib} << 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from kauffman.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))"
+        ), *argv)
+
     def test_exit_codes_and_streams(self):
         ok = self._spawn("bracket", LH_TREFOIL)
         assert (ok.returncode, ok.stdout, ok.stderr) == (
@@ -325,16 +336,55 @@ class TestProcess:
         # on those bits trips at 2**31, inside a 512 MiB address space
         path = tmp_path / "curls.pd"
         path.write_text(_curls(300))
-        capped = self._python("-c", (
-            "import resource, sys\n"
-            "limit = 512 << 20\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
-            "from kauffman.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))"
-        ), "bracket", "--engine", "statesum", "--cap", "1000000", str(path))
+        capped = self._spawn_limited(
+            512, "bracket", "--engine", "statesum", "--cap", "1000000",
+            str(path),
+        )
         assert (capped.returncode, capped.stdout) == (3, "")
         assert capped.stderr == (
             "resource cap exceeded: memos exceed 2147483648 histogram bits\n"
+        )
+
+    @pytest.mark.parametrize("mib,argv", [
+        (128, ["cable", "--n", "2000", LH_TREFOIL]),
+        (96, ["cjones", "--n", "7", "--cap", "5000000", LH_TREFOIL]),
+    ])
+    def test_out_of_memory_is_a_cap(self, mib, argv):
+        # --cap counts states, not bytes: a 12-million-crossing cable,
+        # or a sweep under a raised cap whose states outgrow the address
+        # space, ends like any other tripped cap, not in a traceback
+        capped = self._spawn_limited(mib, *argv)
+        assert (capped.returncode, capped.stdout, capped.stderr) == (
+            3, "", "resource cap exceeded: out of memory\n"
+        )
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["bracket", "--json", "--selftest", LH_TREFOIL], []),
+        (["cable", "--json", "--n", "2", LH_TREFOIL], []),
+        (["cjones", "--json", "--n", "2", LH_TREFOIL], ["kauffman.jones"]),
+        (["adequacy", "--json", LH_TREFOIL],
+         ["kauffman.adequacy", "kauffman.jones"]),
+        (["verify", "--json"], ["kauffman.adequacy", "kauffman.jones"]),
+    ])
+    def test_each_command_loads_only_what_it_runs(self, argv, loaded):
+        # a short call pays for compiling and building every module it
+        # imports, so the battery and the cabled sums load on first use,
+        # and a fresh interpreter's first command still prints its
+        # golden output
+        golden = json.loads(
+            Path(__file__).with_name("golden_cli.json").read_text("utf-8")
+        )
+        (want,) = [g for g in golden if g["argv"] == argv]
+        probe = self._python("-c", (
+            "import sys\n"
+            "from kauffman.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print(sorted(m for m in ('kauffman.adequacy', 'kauffman.jones')"
+            " if m in sys.modules))\n"
+            "sys.exit(rc)"
+        ), *argv)
+        assert (probe.returncode, probe.stdout, probe.stderr) == (
+            want["rc"], f"{want['stdout']}{loaded}\n", ""
         )
 
     def test_import_leaves_out_the_process_pool(self):
@@ -667,12 +717,12 @@ class TestVerifyFailures:
 
     @staticmethod
     def _patch_analyze(monkeypatch, **fields):
-        real = cli.analyze
+        real = adequacy.analyze
 
         def patched(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), **fields)
+            return real(*args, **kwargs)._replace(**fields)
 
-        monkeypatch.setattr(cli, "analyze", patched)
+        monkeypatch.setattr(adequacy, "analyze", patched)
 
     def test_engine_agreement(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setitem(
@@ -742,7 +792,7 @@ class TestVerifyFailures:
         def broken(*args, **kwargs):
             raise InvariantViolation("adequacy-consistency", "planted")
 
-        monkeypatch.setattr(cli, "analyze", broken)
+        monkeypatch.setattr(adequacy, "analyze", broken)
         failure = self._failed(capsys, tmp_path=tmp_path)
         assert failure == {
             "check": "adequacy-consistency",
