@@ -12,10 +12,10 @@ Engines:
   splice the diagram's arcs, and over the spanning subgraphs of the
   all-A ribbon graph, counting its faces.  They share
   :func:`_loop_histogram` and :func:`_assemble` and differ only in the
-  end table they start from.  Both resolve depth first in the sweep's
-  crossing order and count the crossings below a depth once per pairing
-  of their open ends, so their cost, and their ``max_states`` budget,
-  is the sweep's: pairings per step, not 2^c.
+  end table they start from.  Both resolve one crossing per step in
+  the sweep's order and count the crossings done once per pairing of
+  their open ends, so their cost, and their ``max_states`` budget, is
+  the sweep's: pairings per step, not 2^c.
 * ``bracket_fast``, the path independent of both, which shares with
   them only the crossing order, which sets their cost and not their
   values, and the digit decoder of
@@ -145,7 +145,7 @@ def _assemble(packed: int, c: int) -> LaurentPoly:
     return LaurentPoly.from_digits(value, width, c + 2 * top - 2, -2)
 
 
-_HISTOGRAM_BITS = 1 << 31  # 256 MiB, as histograms reach (c + 1)**3 bits
+_HISTOGRAM_BITS = 1 << 31  # a run's computed histograms: 256 MiB of bits
 
 
 def _loop_histogram(link: tuple | list, order: list[int],
@@ -155,21 +155,23 @@ def _loop_histogram(link: tuple | list, order: list[int],
     ``link`` pairs the ends of the open strands, four per crossing:
     ``link[p]`` is the other end of the strand that ends at ``p``, and
     crossing ``i`` owns ends ``4i .. 4i+3``.  The crossings are resolved
-    depth first in ``order``, on a copy of ``link`` renumbered so that
-    crossing ``order[k]`` owns ends ``4k .. 4k+3``: its A join (bit 0)
-    joins ``(4k, 4k+1)`` and ``(4k+2, 4k+3)``, its B join (bit 1)
-    ``(4k, 4k+3)`` and ``(4k+1, 4k+2)``.  Joining ``p`` and ``q``
-    closes a loop if they end one strand and otherwise splices two
-    strands into one, which is undone on the way back up.
+    one step at a time in ``order``, on a copy of ``link`` renumbered so
+    that crossing ``order[k]`` owns ends ``4k .. 4k+3``: its A join
+    (bit 0) joins ``(4k, 4k+1)`` and ``(4k+2, 4k+3)``, its B join (bit 1)
+    ``(4k, 4k+3)`` and ``(4k+1, 4k+2)``.  Joining ``p`` and ``q`` closes
+    a loop if they end one strand and otherwise splices two strands.
 
-    Once ``k`` crossings are resolved, the rest read and splice the copy
-    only from end ``4k`` on, a suffix that pairs the open ports as the
-    sweep's key does after step ``k``.  Each depth computes the rest's
-    histogram once per distinct suffix: two joins per pairing, not 2^c
-    resolutions, and every order counts the same resolutions.  A depth
-    whose memo passes ``max_states`` pairings raises the sweep's error,
-    ``opens`` being the order's open-port counts, and so do the memos,
-    all live until the end, once they pass ``_HISTOGRAM_BITS`` bits.
+    Once ``k`` crossings are resolved, the rest read and splice the
+    table only from end ``4k`` on, a suffix that pairs the open ports as
+    the sweep's key does after step ``k``.  So step ``k`` maps each
+    suffix to the histogram of the resolutions of the first ``k``
+    crossings that leave it, and branches it by both joins, each on a
+    copy; children with the same suffix add.  That is two joins per
+    pairing, not 2^c resolutions, and every order counts the same
+    resolutions.  A step whose table passes ``max_states`` suffixes
+    raises the sweep's error, ``opens`` being the order's open-port
+    counts, and so does a run once its steps have computed
+    ``_HISTOGRAM_BITS`` histogram bits.  Only two steps' tables live.
 
     A histogram is one integer of ``c + 1``-bit slots, enough since no
     count exceeds ``2**c``, laid out loops-major: slot
@@ -188,71 +190,53 @@ def _loop_histogram(link: tuple | list, order: list[int],
     # loop a row.
     slot = c + 1
     row = (c + 1) * slot
-    # A key is the pairing as bytes: one per end while end numbers fit
-    # in a byte, four beyond.  Tuple keys would cost memory: CPython
-    # keeps freed short tuples for reuse.
-    freeze = bytes if len(link) <= 256 else (
-        lambda ends: array("I", ends).tobytes())
-    # per depth, pairing -> histogram; past the last crossing, the one
-    # resolution of nothing has no bits and no loops
-    memos: list[dict] = [{} for _ in range(c)] + [{freeze([]): 1}]
-    # Per crossing, each join's two pairs and the shift it adds.
-    plan = [((p, p + 1, p + 2, p + 3, 0), (p, p + 3, p + 1, p + 2, slot))
-            for p in range(0, 4 * c, 4)]
-    stored = 0  # bits of the histograms in the memos
-
-    def descend(i: int) -> int:
-        """The histogram of crossings ``i ..``."""
-        nonlocal stored
-        key = freeze(link[4 * i:])
-        memo = memos[i]
-        histogram = memo.get(key)
-        if histogram is not None:
-            return histogram
-        histogram = 0
-        for p, q, r, s, shift in plan[i]:
-            a = link[p]
-            b = link[q]
-            if a == q:
-                shift += row
-            else:
-                link[a] = b
-                link[b] = a
-            x = link[r]
-            y = link[s]
-            if x == s:
-                shift += row
-            else:
-                link[x] = y
-                link[y] = x
-            histogram += descend(i + 1) << shift
-            if x != s:
-                link[x] = r
-                link[y] = s
-            if a != q:
-                link[a] = p
-                link[b] = q
-        memo[key] = histogram
-        stored += histogram.bit_length()
-        if len(memo) > max_states:
-            raise _cap_exceeded(max_states, i, c, opens)
-        if stored > _HISTOGRAM_BITS:
-            raise CapExceeded(f"memos exceed {_HISTOGRAM_BITS} histogram bits",
-                              {"crossings_done": i, "crossings_total": c})
-        return histogram
-
-    try:  # the descent recurses once per crossing, deepest on its first path
-        return descend(0)
-    except RecursionError:
-        raise CapExceeded(f"state sum over {c} crossings exceeds the recursion "
-                          "limit", {"crossings_total": c}) from None
-    finally:  # descend's closure holds itself: free the memos now
-        memos.clear()
+    # key -> [suffix, histogram]: a suffix holds the partners of ends
+    # 4k.. as end numbers, one byte each while they fit, four beyond,
+    # and its key is those bytes
+    states = {b"": [array("B" if len(link) <= 256 else "I", link), 1]}
+    computed = 0  # histogram bits of the steps so far
+    for k in range(c):
+        base = 4 * k  # the end at index 0 of this step's suffixes
+        table: dict[bytes, list] = {}
+        for suffix, histogram in states.values():
+            # each join's two pairs, as indices, and the shift it adds
+            for p, q, r, s, shift in (0, 1, 2, 3, 0), (0, 3, 1, 2, slot):
+                ends = suffix[:]
+                a = ends[p]
+                b = ends[q]
+                if a == base + q:
+                    shift += row
+                else:
+                    ends[a - base] = b
+                    ends[b - base] = a
+                x = ends[r]
+                y = ends[s]
+                if x == base + s:
+                    shift += row
+                else:
+                    ends[x - base] = y
+                    ends[y - base] = x
+                ends = ends[4:]
+                key = ends.tobytes()
+                if (entry := table.get(key)) is None:
+                    table[key] = [ends, histogram << shift]
+                else:
+                    entry[1] += histogram << shift
+        if len(table) > max_states:
+            raise _cap_exceeded(max_states, k + 1, c, opens)
+        computed += sum(h.bit_length() for _, h in table.values())
+        if computed > _HISTOGRAM_BITS:
+            raise CapExceeded(
+                f"state sum exceeds {_HISTOGRAM_BITS} histogram bits",
+                {"crossings_done": k + 1, "crossings_total": c})
+        states = table
+    (_, histogram), = states.values()
+    return histogram
 
 
 def _checker_bracket(diagram, max_states, table) -> LaurentPoly:
     """A checker's bracket, from the histogram of its end table
-    ``table()`` in the sweep's order, under ``max_states`` per depth."""
+    ``table()`` in the sweep's order, under ``max_states`` per step."""
     c = diagram.crossing_count
     if c == 0:
         return _crossingless_value(diagram)
@@ -263,11 +247,11 @@ def _checker_bracket(diagram, max_states, table) -> LaurentPoly:
 def bracket_statesum(
     diagram: LinkDiagram, *, max_states: int = 200_000
 ) -> LaurentPoly:
-    """Bracket as the sum over all 2^c states, enumerated depth first
-    over the crossings in the sweep's order: the open strands start as
-    the diagram's arcs, and each crossing's A or B join splices them
-    (bit 1 is B).  Each depth counts the crossings below it once per
-    pairing of their ends (:func:`_loop_histogram`)."""
+    """Bracket as the sum over all 2^c states, one crossing per step
+    in the sweep's order: the open strands start as the diagram's arcs,
+    and each crossing's A or B join splices them (bit 1 is B).  Each
+    step counts the crossings done once per pairing of their open ends
+    (:func:`_loop_histogram`)."""
     return _checker_bracket(diagram, max_states, lambda: diagram.partner)
 
 
@@ -277,8 +261,8 @@ def bracket_subgraph(
     """Bracket as a sum over spanning subgraphs of the all-A ribbon
     graph, one term A^(c - 2e(H)) * delta^(f(H) - 1) per edge subset H.
 
-    The faces are counted by the boundary walk, one edge at a time,
-    depth first over the edges in the sweep's order.  End ``2d`` is the
+    The faces are counted by the boundary walk, one edge per step, over
+    the edges in the sweep's order.  End ``2d`` is the
     corner arriving at dart ``d`` and ``2d + 1`` the corner leaving it;
     the rotations link ``2d + 1`` to ``2 * next(d)``.  An absent edge
     with darts ``x, y`` joins ``(2x, 2x + 1)`` and ``(2y, 2y + 1)``, a
@@ -522,9 +506,9 @@ def _weight_slots(c: int, all_b: int) -> tuple[int, int]:
 
 
 def _cap_exceeded(max_states, done, c, opens) -> CapExceeded:
-    """The error of a table that outgrew ``max_states`` after step
-    ``done`` (a checker's depth 0 is closed, as the last step is) of an
-    order with open-port counts ``opens``; it holds one key more."""
+    """The error of a table that outgrew ``max_states`` at step
+    ``done`` of an order with open-port counts ``opens``, for the sweep
+    and the checkers alike; it holds one key more."""
     return CapExceeded(
         f"open-boundary pairings exceed max_states={max_states}",
         {"crossings_done": done, "crossings_total": c,
@@ -693,8 +677,8 @@ def bracket(
     diagram: LinkDiagram, *, engine: str = "fast", cap: int | None = None
 ) -> LaurentPoly:
     """Dispatch to a bracket engine by name, under one resource cap, its
-    ``max_states``: the pairings of open ports the sweep may hold per
-    step, and a checker per depth; None keeps the default.
+    ``max_states``: the pairings of open ports any engine may hold per
+    step; None keeps the default.
 
     The value is computed once per diagram object, by engine and cap,
     so the cable brackets of a diagram (its memoized cables' brackets)

@@ -321,8 +321,7 @@ def _command(subs, name: str, fn, render, help: str, *, pd: bool = True,
             "--cap",
             type=int,
             default=None,
-            help="resource cap: live states per step for every engine "
-            "(per depth for the state-sum and subgraph checkers)",
+            help="resource cap: live states per step for every engine",
         )
     p.add_argument(
         "--json",

@@ -144,7 +144,7 @@ class TestSupportPattern:
 
 class TestResourceCaps:
     # every engine's cap is its ``max_states``: the pairings of open
-    # ports the sweep holds per step, and a checker per depth
+    # ports its table holds per step
 
     def test_statesum_cap(self, corpus_diagrams):
         with pytest.raises(CapExceeded, match="exceed max_states=1$"):
@@ -159,14 +159,18 @@ class TestResourceCaps:
             bracket_fast(corpus_diagrams["figure-eight"], max_states=1)
 
     def test_checkers_deeper_than_the_recursion_limit(self):
-        # the checkers' descent recurses once per crossing, so a chain
-        # of 1,200 curls, one pairing per depth, passes any budget but
-        # not the interpreter's depth limit; the sweep does not recurse
+        # the checkers run forward one step at a time, so no depth
+        # limits them; a chain of 1,200 curls holds one pairing per
+        # step and passes any budget, but a histogram grows by
+        # (c + 1)**2 bits per closed loop, and the bits computed pass
+        # the fixed bound at step 55; the sweep's weights do not grow so
         d = _kink_chain(1200, -1)
         for checker in (bracket_statesum, bracket_subgraph):
-            with pytest.raises(CapExceeded, match="recursion limit") as info:
+            with pytest.raises(CapExceeded, match="histogram bits$") as info:
                 checker(d, max_states=10**6)
-            assert info.value.detail == {"crossings_total": 1200}
+            assert info.value.detail == {
+                "crossings_done": 55, "crossings_total": 1200,
+            }
         assert bracket_fast(d) == LaurentPoly({-3600: 1})  # (-A^-3)^1200
 
     @pytest.mark.parametrize(
@@ -243,13 +247,13 @@ class TestResourceCaps:
         assert info.value.detail["states"] == peak
 
     def test_cap_detail_payload(self, corpus_diagrams):
-        # the descent fills its deepest memos first, so a checker trips
-        # at the first depth that outgrows the cap, holding one more
-        for checker in (bracket_statesum, bracket_subgraph):
+        # a checker trips at the first step that outgrows the cap, as
+        # the sweep does, holding one more
+        for engine in (bracket_fast, bracket_statesum, bracket_subgraph):
             with pytest.raises(CapExceeded) as info:
-                checker(corpus_diagrams["trefoil-left"], max_states=1)
+                engine(corpus_diagrams["trefoil-left"], max_states=1)
             assert info.value.detail == {
-                "crossings_done": 2,
+                "crossings_done": 1,
                 "crossings_total": 3,
                 "states": 2,
                 "open_ports": 4,
@@ -278,7 +282,7 @@ class TestResourceCaps:
     def test_checkers_trip_at_the_sweeps_peak(
         self, corpus_diagrams, name, width, peak
     ):
-        # a checker's memo at depth k holds the pairings the sweep's
+        # a checker's table after step k holds the pairings the sweep's
         # table holds after step k, so on these cables, where no sweep
         # state cancels, one cap trips all three engines alike
         d = cable(corpus_diagrams[name], width)
@@ -291,15 +295,39 @@ class TestResourceCaps:
         with pytest.raises(CapExceeded):
             bracket_fast(d, max_states=peak - 1)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "name", ["trefoil-left", "figure-eight", "hopf-positive"])
+    def test_one_budget_one_meaning(self, corpus_diagrams, name, width):
+        # the checkers' table after a step holds the sweep's pairings,
+        # so under any cap they pass with the sweep or trip at its step,
+        # with its open ports
+        d = cable(corpus_diagrams[name], width)
+        for cap in 1, 5, 40, 100, 857:
+            try:
+                expected = bracket_fast(d, max_states=cap)
+            except CapExceeded as err:
+                for checker in (bracket_statesum, bracket_subgraph):
+                    with pytest.raises(CapExceeded) as info:
+                        checker(d, max_states=cap)
+                    assert info.value.detail == err.detail, (checker, cap)
+            else:
+                for checker in (bracket_statesum, bracket_subgraph):
+                    assert checker(d, max_states=cap) == expected, (checker, cap)
+
     def test_checkers_bound_their_histogram_bits(self):
-        # 300 curls hold one pairing per depth, but every depth's memo
-        # stays live and the histograms grow as the cube of the
-        # crossings: about 4 * 10**9 bits in all, past the fixed bound
+        # 300 curls hold one pairing per step, but the histograms grow
+        # with the loops closed, and the bits the steps compute pass the
+        # fixed bound at step 217, holding two steps' tables of one key
         d = _kink_chain(300, -1)
         for checker in (bracket_statesum, bracket_subgraph):
-            with pytest.raises(CapExceeded, match="histogram bits$") as info:
+            with pytest.raises(
+                CapExceeded, match="^state sum exceeds 2147483648 histogram bits$"
+            ) as info:
                 checker(d, max_states=10**6)
-            assert info.value.detail["crossings_total"] == 300
+            assert info.value.detail == {
+                "crossings_done": 217, "crossings_total": 300,
+            }
         assert bracket_fast(d) == LaurentPoly({-900: 1})  # (-A^-3)^300
 
 
@@ -685,7 +713,7 @@ def _per_mask_bracket(c, loops_of):
 
 
 class TestCheckersAgainstPerMaskWalks:
-    """The depth-first checkers against the walks they replace, which
+    """The frontier-sum checkers against the walks they replace, which
     rebuild every resolution and every spanning subgraph from nothing:
     the port walk and the ribbon graph's boundary walk."""
 
@@ -693,7 +721,7 @@ class TestCheckersAgainstPerMaskWalks:
     def _diagrams(corpus_diagrams, small_diagrams):
         crossed = [d for d in corpus_diagrams.values() if d.crossing_count]
         crossed.append(cable(corpus_diagrams["trefoil-left"], 2))
-        # closures of 8-10 crossings, where the memo hits at most depths
+        # closures of 8-10 crossings, where most steps merge suffixes
         crossed += seeded_closures(5, 3, range(8, 11))
         return crossed + list(small_diagrams)
 
@@ -775,7 +803,7 @@ class TestMemoizedTail:
             assert bracket_subgraph(d) == expected, d
 
     def test_width_three_trefoil_cable(self, corpus_diagrams):
-        # 27 crossings, whose deepest memo holds the sweep's peak of 84
+        # 27 crossings, whose largest step table holds the sweep's 84
         d = cable(corpus_diagrams["trefoil-left"], 3)
         assert d.crossing_count == 27
         expected = bracket_fast(d)

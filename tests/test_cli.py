@@ -96,7 +96,7 @@ class TestBracketCommand:
     @pytest.mark.parametrize("width", [3, 4])
     def test_selftest_on_wide_figure_eight_cables(self, capsys, width):
         # 36 and 64 crossings, but the checkers hold at most the
-        # sweep's 132 and 1,430 pairings per depth
+        # sweep's 132 and 1,430 pairings per step
         pd = serialize(cable(parse_pd(FIGURE_EIGHT), width))
         rc, out, err = run(capsys, "bracket", "--selftest", pd)
         assert (rc, err) == (0, "")
@@ -319,21 +319,23 @@ class TestProcess:
     @pytest.mark.parametrize(
         "engine", [["--engine", "statesum"], ["--selftest"]])
     def test_checker_recursion_is_a_cap(self, tmp_path, engine):
-        # 1,200 negative curls pass a raised --cap, but the checkers'
-        # depth-first descent would recurse past the interpreter's limit
+        # 1,200 negative curls, past the interpreter's recursion limit,
+        # pass a raised --cap; the checkers run forward one step at a
+        # time, and the bits their histograms compute trip the bound
         path = tmp_path / "curls.pd"
         path.write_text(_curls(1200))
         capped = self._spawn("bracket", *engine, "--cap", "5000", str(path))
-        assert capped.returncode == 3 and capped.stdout == ""
-        assert capped.stderr.count("\n") == 1
-        assert capped.stderr.startswith("resource cap exceeded: state sum")
-        assert "recursion limit" in capped.stderr
+        assert (capped.returncode, capped.stdout, capped.stderr) == (
+            3, "",
+            "resource cap exceeded: state sum exceeds 2147483648 histogram "
+            "bits\n",
+        )
 
     def test_checker_memory_is_bounded_under_any_cap(self, tmp_path):
-        # 300 negative curls hold one pairing per depth, so no state
-        # budget stops the checkers, but their live histograms would
-        # reach about 4 * 10**9 bits, a 570 MB process; the fixed bound
-        # on those bits trips at 2**31, inside a 512 MiB address space
+        # 300 negative curls hold one pairing per step, so no state
+        # budget stops the checkers, but their histograms grow with the
+        # loops closed; the fixed bound of 2**31 on the bits the steps
+        # compute trips inside a 512 MiB address space
         path = tmp_path / "curls.pd"
         path.write_text(_curls(300))
         capped = self._spawn_limited(
@@ -342,8 +344,18 @@ class TestProcess:
         )
         assert (capped.returncode, capped.stdout) == (3, "")
         assert capped.stderr == (
-            "resource cap exceeded: memos exceed 2147483648 histogram bits\n"
+            "resource cap exceeded: state sum exceeds 2147483648 histogram "
+            "bits\n"
         )
+
+    def test_checker_holds_one_steps_table(self):
+        # the width-4 figure-eight cable (64 crossings) peaks at 1,430
+        # pairings; a checker keeps two steps' tables, not a memo for
+        # every depth, so all three engines fit in 128 MiB
+        pd = serialize(cable(parse_pd(FIGURE_EIGHT), 4))
+        checked = self._spawn_limited(128, "bracket", "--selftest", pd)
+        assert (checked.returncode, checked.stderr) == (0, "")
+        assert checked.stdout.endswith("engines agree\n")
 
     @pytest.mark.parametrize("mib,argv", [
         (128, ["cable", "--n", "2000", LH_TREFOIL]),
